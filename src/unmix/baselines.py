@@ -10,7 +10,7 @@ solves are independent).
 from __future__ import annotations
 
 import warnings
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,7 @@ from .core import (
     MaxItersWarning,
     ProblemHandle,
     SingularNormalEquations,
-    SolverConfig,
+    _project_columns_to_simplex,
     project_nonnegative,
     soft_threshold,
 )
@@ -57,94 +57,81 @@ def _default_rho(MtM2: np.ndarray) -> float:
     return float(np.trace(MtM2) / MtM2.shape[0])
 
 
-def _resolve(config: Optional[SolverConfig], MtM2: np.ndarray):
-    # A supplied config owns rho and the iteration cap; the residual tolerance
-    # stays at oracle grade either way.
-    if config is None:
-        return _default_rho(MtM2), _BASELINE_MAX_ITERS
-    return config.rho, config.max_outer_iters
+def _admm(
+    handle: ProblemHandle,
+    prox: Callable[[np.ndarray, float], np.ndarray],
+    sum_to_one: bool,
+):
+    """Per-pixel ADMM for min ||y - M x||^2 + g(z) subject to x = z.
 
-
-def solve_fcls(handle: ProblemHandle, config: Optional[SolverConfig] = None) -> AbundanceMatrix:
-    """Per-pixel least squares over the probability simplex.
-
-    ADMM splitting: the quadratic-plus-sum-to-one update has a closed form via
-    one KKT correction of the unconstrained solve; nonnegativity enters through
-    projection. Returns the equality-exact iterate (column sums are 1 to
-    rounding; entries can undershoot 0 only by the final primal residual).
+    prox(v, rho) is the proximal map of g / rho; with sum_to_one the
+    quadratic update is corrected onto the hyperplane 1'x = 1 through one KKT
+    correction of the unconstrained solve. Returns the last (X, Z) iterates
+    and whether the residuals fell below tolerance before the cap.
     """
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
     MtM2 = 2.0 * (M.T @ M)
-    rho, max_iters = _resolve(config, MtM2)
+    rho = _default_rho(MtM2)
     try:
         cho = scipy.linalg.cho_factor(MtM2 + rho * np.eye(R))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise SingularNormalEquations(str(exc)) from exc
     MtY2 = 2.0 * (M.T @ Y)
-    q = scipy.linalg.cho_solve(cho, np.ones(R))
-    qsum = float(q.sum())
-    if abs(qsum) < 1e-300:
-        raise SingularNormalEquations("sum-to-one correction is degenerate")
+    if sum_to_one:
+        q = scipy.linalg.cho_solve(cho, np.ones(R))
+        qsum = float(q.sum())
+        if abs(qsum) < 1e-300:
+            raise SingularNormalEquations("sum-to-one correction is degenerate")
 
     Z = project_nonnegative(solve_ls(handle).data)
     U = np.zeros((R, T))
     X = Z
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
-    converged = False
-    for _ in range(max_iters):
-        W = scipy.linalg.cho_solve(cho, MtY2 + rho * (Z + U), check_finite=False)
-        nu = (W.sum(axis=0) - 1.0) / qsum
-        X = W - np.outer(q, nu)
-        Z_new = np.maximum(X - U, 0.0)
+    for _ in range(_BASELINE_MAX_ITERS):
+        X = scipy.linalg.cho_solve(cho, MtY2 + rho * (Z + U), check_finite=False)
+        if sum_to_one:
+            nu = (X.sum(axis=0) - 1.0) / qsum
+            X = X - np.outer(q, nu)
+        Z_new = prox(X - U, rho)
         U = U - (X - Z_new)
         primal = np.linalg.norm(X - Z_new)
         dual = rho * np.linalg.norm(Z_new - Z)
         Z = Z_new
         if primal <= eps_stop and dual <= eps_stop:
-            converged = True
-            break
+            return X, Z, True
+    return X, Z, False
+
+
+def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
+    """Per-pixel least squares over the probability simplex.
+
+    ADMM splitting: the quadratic-plus-sum-to-one update has a closed form via
+    one KKT correction of the unconstrained solve; nonnegativity enters through
+    projection. Returns the equality-exact iterate (column sums are 1 to
+    rounding; entries can undershoot 0 only by the final primal residual). At
+    the iteration cap that residual can exceed the feasibility tolerance, so
+    the iterate is projected column-wise onto the simplex instead.
+    """
+    X, _, converged = _admm(handle, lambda v, rho: np.maximum(v, 0.0), sum_to_one=True)
     if not converged:
         warnings.warn("fully-constrained solve hit its iteration cap", MaxItersWarning, stacklevel=2)
+        X = _project_columns_to_simplex(X)
     return AbundanceMatrix(X, tag="fully_constrained")
 
 
-def solve_sunsal_sparse(
-    handle: ProblemHandle, lam: float, config: Optional[SolverConfig] = None
-) -> AbundanceMatrix:
+def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
     """Per-pixel minimizer of ||y - M x||^2 + lam * ||x||_1 subject to x >= 0.
 
-    Same ADMM scaffold as solve_fcls without the sum-to-one correction; the
+    Same ADMM loop as solve_fcls without the sum-to-one correction; the
     proximal step is soft thresholding followed by projection. lam = 0 gives
     nonnegative least squares.
     """
     if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
         raise InvalidInput("lam must be a nonnegative finite scalar")
-    M, Y = handle.M, handle.Y
-    R, T = handle.R, handle.T
-    MtM2 = 2.0 * (M.T @ M)
-    rho, max_iters = _resolve(config, MtM2)
-    try:
-        cho = scipy.linalg.cho_factor(MtM2 + rho * np.eye(R))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularNormalEquations(str(exc)) from exc
-    MtY2 = 2.0 * (M.T @ Y)
-    thresh = lam / rho
-
-    Z = project_nonnegative(solve_ls(handle).data)
-    U = np.zeros((R, T))
-    eps_stop = np.sqrt(R * T) * _BASELINE_TOL
-    converged = False
-    for _ in range(max_iters):
-        X = scipy.linalg.cho_solve(cho, MtY2 + rho * (Z + U), check_finite=False)
-        Z_new = np.maximum(soft_threshold(X - U, thresh), 0.0)
-        U = U - (X - Z_new)
-        primal = np.linalg.norm(X - Z_new)
-        dual = rho * np.linalg.norm(Z_new - Z)
-        Z = Z_new
-        if primal <= eps_stop and dual <= eps_stop:
-            converged = True
-            break
+    _, Z, converged = _admm(
+        handle, lambda v, rho: np.maximum(soft_threshold(v, lam / rho), 0.0), sum_to_one=False
+    )
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)
     return AbundanceMatrix(Z, tag="nonnegative")

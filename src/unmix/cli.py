@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, experiment, fileio, metrics, solvers, synth
+from . import experiment, fileio, metrics, solvers, synth
 from .core import (
     SolverConfig,
     Termination,
@@ -29,8 +29,6 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_TUNING = 4
-
-_ALGORITHM_COMMANDS = ("ls", "fcls", "sunsal-sparse", "cusal-fc", "cusal-sp")
 
 
 def _add_generate(sub):
@@ -51,15 +49,15 @@ def _add_generate(sub):
 
 
 def _add_algorithms(sub):
-    for name in _ALGORITHM_COMMANDS:
+    for name, algorithm in solvers.ALGORITHMS.items():
         p = sub.add_parser(name, help=f"unmix with {name}")
         p.add_argument("observations", help="matrix file with Y (bands x pixels)")
         p.add_argument("endmembers", help="matrix file with M (bands x endmembers)")
         p.add_argument("--out", default="X_hat.txt", help="output abundance file")
         p.add_argument("--report-path", default=None, help="write per-iteration diagnostics TSV")
-        if name in ("sunsal-sparse", "cusal-sp"):
+        if algorithm.takes_lambda:
             p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="l1 weight (default 0)")
-        if name in ("cusal-fc", "cusal-sp"):
+        if algorithm.correntropy:
             p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
             p.add_argument(
                 "--sigma-auto",
@@ -115,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unmix",
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
-        epilog="Solver defaults: rho=1, eta=0.1*sigma^2/||M||_F^2, inner tolerance 1e-6, "
-        "50 inner and 1000 outer iterations, residual thresholds sqrt(R*T)*1e-5. "
+        epilog="Solver defaults: rho=1, eta=1/(||A||_2^2/sigma^2 + coupling curvature), "
+        "inner tolerance 1e-6, 50 inner and 1000 outer iterations, "
+        "residual thresholds sqrt(R*T)*1e-5. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,25 +184,18 @@ def cmd_unmix(args) -> int:
     Y = fileio.read_matrix(args.observations)
     M = fileio.read_matrix(args.endmembers)
     handle = validate_problem(Y, M)
-    report = None
-    if args.command == "ls":
-        X = baselines.solve_ls(handle)
-    elif args.command == "fcls":
-        X = baselines.solve_fcls(handle)
-    elif args.command == "sunsal-sparse":
-        X = baselines.solve_sunsal_sparse(handle, args.lam)
-    else:
-        config = SolverConfig(
+    algorithm = solvers.ALGORITHMS[args.command]
+    options = {"lam": args.lam} if algorithm.takes_lambda else {}
+    if algorithm.correntropy:
+        options.update(
             sigma=args.sigma,
             rho=args.rho,
             eta=args.eta,
-            lam=getattr(args, "lam", 0.0),
             max_outer_iters=args.max_iters,
             max_inner_iters=args.max_inner_iters,
             sigma_auto=args.sigma_auto,
         )
-        solve = solvers.cusal_fc if args.command == "cusal-fc" else solvers.cusal_sp
-        X, report = solve(handle, config)
+    X, report = algorithm.solve(handle, SolverConfig(**options))
     fileio.write_matrix(args.out, X)
     if args.report_path is not None:
         if report is not None:
@@ -286,7 +278,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return cmd_generate(args)
-        if args.command in _ALGORITHM_COMMANDS:
+        if args.command in solvers.ALGORITHMS:
             return cmd_unmix(args)
         if args.command == "eval":
             return cmd_eval(args)

@@ -176,7 +176,9 @@ class SolverConfig:
 
     sigma           Gaussian kernel bandwidth; None is allowed only with sigma_auto.
     rho             ADMM penalty.
-    eta             inner gradient step; None selects 0.1 * sigma^2 / ||M||_F^2.
+    eta             inner gradient step; None selects
+                    1 / (||A||_2^2 / sigma^2 + curvature of the coupling), A the
+                    mixing operator seen by the inner variables.
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
                     residual norms below sqrt(R*T) times these.
@@ -282,6 +284,18 @@ def soft_threshold(v, b: float) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("soft_threshold requires finite input")
     return np.sign(arr) * np.maximum(np.abs(arr) - b, 0.0)
+
+
+def _project_columns_to_simplex(X: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every column onto the probability simplex."""
+    R, T = X.shape
+    srt = np.sort(X, axis=0)[::-1, :]
+    css = np.cumsum(srt, axis=0) - 1.0
+    idx = np.arange(1, R + 1)[:, np.newaxis]
+    cond = srt - css / idx > 0
+    k = R - 1 - np.argmax(cond[::-1, :], axis=0)
+    theta = css[k, np.arange(T)] / (k + 1.0)
+    return np.maximum(X - theta[np.newaxis, :], 0.0)
 
 
 def validate_problem(Y, M) -> ProblemHandle:

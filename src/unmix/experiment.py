@@ -11,10 +11,10 @@ grid.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import baselines, metrics, solvers, synth
+from . import metrics, solvers, synth
 from .core import SolverConfig, UnmixError, validate_problem
 from .fileio import ExperimentConfig, format_float
 
@@ -72,35 +72,6 @@ def _metric_value(name: str, truth: synth.GroundTruth, handle, X_hat) -> float:
     return metrics.evaluate_metric(name, truth.X_true, X_hat).value
 
 
-def _solve_plain(algorithm: str, handle, config: SolverConfig):
-    if algorithm == "ls":
-        return baselines.solve_ls(handle)
-    if algorithm == "fcls":
-        return baselines.solve_fcls(handle)
-    if algorithm == "cusal-fc":
-        X, _ = solvers.cusal_fc(handle, config)
-        return X
-    raise UnmixError(f"unknown plain algorithm {algorithm!r}")
-
-
-def _solve_sparse(algorithm: str, handle, config: SolverConfig, lam: float):
-    if algorithm == "sunsal-sparse":
-        return baselines.solve_sunsal_sparse(handle, lam)
-    if algorithm == "cusal-sp":
-        X, _ = solvers.cusal_sp(
-            handle,
-            SolverConfig(
-                sigma_auto=True,
-                lam=lam,
-                rho=config.rho,
-                max_outer_iters=config.max_outer_iters,
-                max_inner_iters=config.max_inner_iters,
-            ),
-        )
-        return X
-    raise UnmixError(f"unknown sparse algorithm {algorithm!r}")
-
-
 def run_cell(config: ExperimentConfig, M, algorithm: str, n_corrupt: int, seed: int):
     """All metric rows for one (algorithm, corrupt count, seed) grid cell."""
     spec = synth.SyntheticSpec(
@@ -135,18 +106,15 @@ def run_cell(config: ExperimentConfig, M, algorithm: str, n_corrupt: int, seed: 
         Y, truth = synth.gen_cube(M, spec)
         handle = validate_problem(Y, M)
         solver_config = SolverConfig(sigma_auto=True, max_outer_iters=config.max_outer_iters)
-        if algorithm in ("sunsal-sparse", "cusal-sp"):
-            candidates = [
-                _solve_sparse(algorithm, handle, solver_config, lam) for lam in config.lambda_grid
-            ]
-            for name in config.metrics:
-                values = [_metric_value(name, truth, handle, X) for X in candidates]
-                best = min(values) if _MINIMIZE[name] else max(values)
-                make_row(name, best)
-        else:
-            X_hat = _solve_plain(algorithm, handle, solver_config)
-            for name in config.metrics:
-                make_row(name, _metric_value(name, truth, handle, X_hat))
+        if algorithm not in solvers.ALGORITHMS:
+            raise UnmixError(f"unknown algorithm {algorithm!r}")
+        entry = solvers.ALGORITHMS[algorithm]
+        # an algorithm that takes lambda reports its best value over the grid
+        lams = config.lambda_grid if entry.takes_lambda else (solver_config.lam,)
+        candidates = [entry.solve(handle, replace(solver_config, lam=lam))[0] for lam in lams]
+        for name in config.metrics:
+            values = [_metric_value(name, truth, handle, X) for X in candidates]
+            make_row(name, min(values) if _MINIMIZE[name] else max(values))
     except UnmixError as exc:
         rows = []
         for name in config.metrics:

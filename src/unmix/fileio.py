@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import solvers
 from .core import UnmixError
 
 MAGIC = "UNMIX-MATRIX v1"
@@ -36,8 +37,6 @@ _CONFIG_KEYS = {
     "min_angle_deg",
     "max_outer_iters",
 }
-
-ALGORITHMS = ("ls", "fcls", "sunsal-sparse", "cusal-fc", "cusal-sp")
 
 # The default l1 grid used when a config does not set lambda_grid.
 DEFAULT_LAMBDA_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2, 1e-1)
@@ -223,7 +222,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     if not algorithms:
         raise ParseError("algorithms list is empty", line=linenos["algorithms"])
     for a in algorithms:
-        if a not in ALGORITHMS:
+        if a not in solvers.ALGORITHMS:
             raise ParseError(f"unknown algorithm {a!r}", line=linenos["algorithms"])
     metrics = tuple(m.strip().upper() for m in raw["metric"].split(",") if m.strip())
     canonical = {"RMSE": "RMSE", "SRE": "SRE_dB", "SRE_DB": "SRE_dB", "SAD": "SAD_rad", "SAD_RAD": "SAD_rad"}

@@ -33,6 +33,7 @@ from .core import (
     SolverReport,
     Termination,
     TuningFailed,
+    _project_columns_to_simplex,
     project_nonnegative,
     soft_threshold,
 )
@@ -254,18 +255,6 @@ def _vec(X: np.ndarray) -> np.ndarray:
 
 def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
     return v.reshape(T, R).T
-
-
-def _project_columns_to_simplex(X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every column onto the probability simplex."""
-    R, T = X.shape
-    srt = np.sort(X, axis=0)[::-1, :]
-    css = np.cumsum(srt, axis=0) - 1.0
-    idx = np.arange(1, R + 1)[:, np.newaxis]
-    cond = srt - css / idx > 0
-    k = R - 1 - np.argmax(cond[::-1, :], axis=0)
-    theta = css[k, np.arange(T)] / (k + 1.0)
-    return np.maximum(X - theta[np.newaxis, :], 0.0)
 
 
 def _default_eta(config: SolverConfig, sigma: float, A: np.ndarray, quad_curvature: float) -> float:
@@ -534,3 +523,31 @@ def cusal_sp(
         _, _, X, report = _tune(handle, "sp", config, X0, on_iteration)
         return X, report
     return _run_cusal_sp(handle, config, _resolve_sigma(config), X0, on_iteration)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One unmixing algorithm as the CLI and the experiment runner see it.
+
+    takes_lambda    the algorithm reads the l1 weight config.lam.
+    correntropy     the algorithm takes the correntropy solver options
+                    (bandwidth, rho, eta, iteration caps).
+    solve           solve(handle, config) -> (abundances, report or None).
+    """
+
+    takes_lambda: bool
+    correntropy: bool
+    solve: Callable[[ProblemHandle, SolverConfig], tuple]
+
+
+# Every entry looks its solver up at call time, so a replaced module attribute
+# (a wrapper that times or counts solver calls) is what runs.
+ALGORITHMS = {
+    "ls": Algorithm(False, False, lambda h, c: (baselines.solve_ls(h), None)),
+    "fcls": Algorithm(False, False, lambda h, c: (baselines.solve_fcls(h), None)),
+    "sunsal-sparse": Algorithm(
+        True, False, lambda h, c: (baselines.solve_sunsal_sparse(h, c.lam), None)
+    ),
+    "cusal-fc": Algorithm(False, True, lambda h, c: cusal_fc(h, c)),
+    "cusal-sp": Algorithm(True, True, lambda h, c: cusal_sp(h, c)),
+}

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from unmix import (
+    MaxItersWarning,
     SingularNormalEquations,
+    SyntheticSpec,
+    baselines,
+    gen_cube,
+    gen_endmembers,
     rmse,
     solve_fcls,
     solve_ls,
@@ -158,6 +163,26 @@ class TestSolveSunsalSparse:
             cand = np.abs(rng.standard_normal((h.R, h.T)))
             cand_obj = ((Y - M @ cand) ** 2).sum(axis=0) + lam * np.abs(cand).sum(axis=0)
             assert np.all(obj <= cand_obj + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "solve, simplex",
+    [(solve_fcls, True), (lambda h: solve_sunsal_sparse(h, 0.0), False)],
+    ids=["fcls", "sunsal-sparse"],
+)
+def test_capped_solve_returns_tagged_feasible_result(monkeypatch, solve, simplex):
+    # 20 iterations leave the equality-exact fcls iterate up to ~4e-6 below 0
+    M = gen_endmembers(3, 120, seed=0).data
+    spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=20, seed=1)
+    Y, _ = gen_cube(M, spec)
+    h = validate_problem(Y, M)
+    monkeypatch.setattr(baselines, "_BASELINE_MAX_ITERS", 20)
+    with pytest.warns(MaxItersWarning):
+        out = solve(h)
+    assert out.tag == ("fully_constrained" if simplex else "nonnegative")
+    assert out.data.min() >= 0.0
+    if simplex:
+        np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_cusal_large_sigma_consistency_small(rng):

@@ -3,9 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from unmix import linear_mix, rmse, solve_ls, validate_problem
+from unmix import (
+    SolverConfig,
+    cusal_fc,
+    cusal_sp,
+    linear_mix,
+    rmse,
+    solve_fcls,
+    solve_ls,
+    solve_sunsal_sparse,
+    validate_problem,
+)
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
 from unmix.fileio import read_matrix, read_truth_meta, write_matrix
+from unmix.solvers import ALGORITHMS
+
+# The library call behind each CLI subcommand, run with `--lambda 1e-3` where
+# the algorithm takes lambda and `--sigma-auto` where it is a correntropy one.
+LIBRARY_CALLS = {
+    "ls": solve_ls,
+    "fcls": solve_fcls,
+    "sunsal-sparse": lambda h: solve_sunsal_sparse(h, 1e-3),
+    "cusal-fc": lambda h: cusal_fc(h, SolverConfig(sigma_auto=True))[0],
+    "cusal-sp": lambda h: cusal_sp(h, SolverConfig(sigma_auto=True, lam=1e-3))[0],
+}
 
 
 def run_cli(*args):
@@ -65,15 +86,21 @@ class TestUnmixCommands:
         assert code == EXIT_OK
         assert (tmp_path / "X.txt").read_text() == (tmp_path / "Y.txt").read_text()
 
-    def test_cli_is_thin_shell_over_library(self, small_cube, tmp_path):
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_cli_is_thin_shell_over_library(self, name, small_cube, tmp_path):
+        algorithm = ALGORITHMS[name]
+        flags = (["--lambda", "1e-3"] if algorithm.takes_lambda else []) + (
+            ["--sigma-auto"] if algorithm.correntropy else []
+        )
         code = run_cli(
-            "ls", small_cube / "Y.txt", small_cube / "M.txt", "--out", tmp_path / "X_cli.txt"
+            name, small_cube / "Y.txt", small_cube / "M.txt", *flags,
+            "--out", tmp_path / "X_cli.txt",
         )
         assert code == EXIT_OK
         handle = validate_problem(
             read_matrix(small_cube / "Y.txt"), read_matrix(small_cube / "M.txt")
         )
-        write_matrix(tmp_path / "X_lib.txt", solve_ls(handle))
+        write_matrix(tmp_path / "X_lib.txt", LIBRARY_CALLS[name](handle))
         assert (tmp_path / "X_cli.txt").read_text() == (tmp_path / "X_lib.txt").read_text()
 
     def test_cusal_fc_auto_sigma_report(self, small_cube, tmp_path):

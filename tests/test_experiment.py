@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from unmix import UnmixError
+from unmix import (
+    SolverConfig,
+    SyntheticSpec,
+    UnmixError,
+    baselines,
+    cusal_sp,
+    gen_cube,
+    gen_endmembers,
+    rmse,
+    solve_sunsal_sparse,
+    sre_db,
+    validate_problem,
+)
 from unmix.cli import EXIT_OK, main
 from unmix.experiment import ExperimentRow, rows_to_tsv, run_cell, run_experiment
 from unmix.fileio import parse_experiment_config
@@ -55,17 +67,52 @@ class TestGrid:
         assert wins >= 4
 
     def test_failed_cell_gets_status_row(self, config, monkeypatch):
-        import unmix.experiment as exp
-
-        def boom(algorithm, handle, config):
+        def boom(*args, **kwargs):
             raise UnmixError("synthetic failure")
 
-        monkeypatch.setattr(exp, "_solve_plain", boom)
+        monkeypatch.setattr(baselines, "solve_ls", boom)
+        monkeypatch.setattr(baselines, "solve_fcls", boom)
         rows = run_experiment(config, max_workers=1)
         assert len(rows) == 24
         assert all(r.status == "error:UnmixError" and r.value is None for r in rows)
         text = rows_to_tsv(rows)
         assert "error:UnmixError" in text
+
+
+class TestSparseGrid:
+    def test_cells_report_best_value_over_lambda_grid(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            CFG.replace("algorithms = ls,fcls", "algorithms = sunsal-sparse,cusal-sp")
+            .replace("seeds = 1,2,3", "seeds = 1")
+            + "lambda_grid = 1e-4,1e-2\nmax_outer_iters = 100\n"
+        )
+        config = parse_experiment_config(path)
+        rows = run_experiment(config, max_workers=1)
+        assert len(rows) == 2 * 2 * 1 * 2
+        assert all(r.status == "ok" for r in rows)
+        M = gen_endmembers(3, 30, seed=0)
+        for n_corrupt in (0, 6):
+            spec = SyntheticSpec(
+                model="lmm", R=3, L=30, T=16, snr_db=25.0, n_corrupt=n_corrupt, seed=1
+            )
+            Y, truth = gen_cube(M, spec)
+            h = validate_problem(Y, M)
+            direct = {
+                "sunsal-sparse": [solve_sunsal_sparse(h, lam) for lam in (1e-4, 1e-2)],
+                "cusal-sp": [
+                    cusal_sp(h, SolverConfig(sigma_auto=True, lam=lam, max_outer_iters=100))[0]
+                    for lam in (1e-4, 1e-2)
+                ],
+            }
+            for algorithm, candidates in direct.items():
+                value = {
+                    r.metric: r.value
+                    for r in rows
+                    if r.algorithm == algorithm and r.n_corrupt == n_corrupt
+                }
+                assert value["RMSE"] == min(rmse(truth.X_true, X) for X in candidates)
+                assert value["SRE_dB"] == max(sre_db(truth.X_true, X) for X in candidates)
 
 
 class TestCliExperiment:
