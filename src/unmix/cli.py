@@ -37,7 +37,7 @@ def _add_generate(sub):
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' for noiseless")
+    p.add_argument("--snr", type=float, default="inf", help="SNR in dB, or 'inf' for noiseless")
     p.add_argument("--corrupt", type=int, default=0, help="number of corrupted bands")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--K", type=int, default=None, help="nonzeros per pixel (sparse abundances)")
@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_snr(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def cmd_generate(args) -> int:
     lo, hi = (float(v) for v in args.b_range.split(","))
     if args.endmembers is not None:
@@ -145,7 +139,7 @@ def cmd_generate(args) -> int:
         R=args.R,
         L=args.L,
         T=args.T,
-        snr_db=_parse_snr(args.snr),
+        snr_db=args.snr,
         n_corrupt=args.corrupt,
         sparsity_K=args.K,
         seed=args.seed,
@@ -239,7 +233,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = fileio.parse_experiment_config(args.config)
+    config = experiment.parse_experiment_config(args.config)
     max_workers = int(os.environ.get("UNMIX_THREADS", "1"))
     if max_workers < 1:
         raise fileio.ParseError(f"UNMIX_THREADS must be >= 1, got {max_workers}")

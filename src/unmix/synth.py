@@ -49,12 +49,14 @@ class SyntheticSpec:
             raise InvalidInput("R, L, T must be positive")
         if not (0 <= self.n_corrupt <= self.L):
             raise InvalidInput("n_corrupt must lie in [0, L]")
+        if self.seed < 0:
+            raise InvalidInput("seed must be nonnegative")
         if self.sparsity_K is not None and not (1 <= self.sparsity_K <= self.R):
             raise InvalidInput("sparsity_K must lie in [1, R]")
         lo, hi = self.b_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InvalidInput("b_range must be a finite (lo, hi) interval")
-        if math.isnan(self.snr_db):
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise InvalidInput("snr_db must be a real number or +inf")
 
 

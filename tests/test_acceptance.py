@@ -191,6 +191,7 @@ def crit5_results():
     return results, traces, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_5_robustness_ordering(crit5_results):
     results, _, elapsed = crit5_results
     medians = {
@@ -241,6 +242,7 @@ def crit6_results():
     return results, traces, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_6_sparse_robustness_ordering(crit6_results):
     results, _, elapsed = crit6_results
     med_cusal = statistics.median(r["cusal"] for r in results)
@@ -253,6 +255,7 @@ def test_criterion_6_sparse_robustness_ordering(crit6_results):
 
 
 # ---------------------------------------------------------------- criterion 7
+@pytest.mark.slow
 def test_criterion_7_tuner_contract(clean_problem, crit5_results, crit6_results):
     h_clean, _ = clean_problem
     _, traces5, _ = crit5_results

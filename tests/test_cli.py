@@ -75,6 +75,15 @@ class TestGenerate:
         X = read_matrix(small_cube / "X_true.txt")
         np.testing.assert_array_equal(Y, M @ X)
 
+    def test_minus_inf_snr_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "cube"
+        code = run_cli(
+            "generate", "--R", 3, "--L", 20, "--T", 5, "--snr=-inf", "--out-dir", out,
+        )
+        assert code == EXIT_INPUT
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUnmixCommands:
     def test_ls_on_identity_endmembers_reproduces_y(self, tmp_path):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from unmix import (
+    InvalidInput,
     SolverConfig,
     SyntheticSpec,
     UnmixError,
     baselines,
+    experiment,
     cusal_sp,
     gen_cube,
     gen_endmembers,
@@ -14,9 +18,15 @@ from unmix import (
     sre_db,
     validate_problem,
 )
-from unmix.cli import EXIT_OK, main
-from unmix.experiment import ExperimentRow, rows_to_tsv, run_cell, run_experiment
-from unmix.fileio import parse_experiment_config
+from unmix.cli import EXIT_INPUT, EXIT_OK, main
+from unmix.experiment import (
+    ExperimentRow,
+    parse_experiment_config,
+    rows_to_tsv,
+    run_cell,
+    run_experiment,
+)
+from unmix.fileio import ParseError
 
 
 CFG = """\
@@ -37,6 +47,78 @@ def config(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(CFG)
     return parse_experiment_config(path)
+
+
+class TestConfig:
+    def test_every_optional_key_parses_into_its_field(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            CFG
+            + "K = 2\nb_range = -2, 2.5\nendmember_seed = 4\nmin_angle_deg = 12.5\n"
+            "max_outer_iters = 40\nlambda_grid = 1e-4, 1e-2\n"
+        )
+        config = parse_experiment_config(path)
+        assert config.K == 2
+        assert config.b_range == (-2.0, 2.5)
+        assert config.endmember_seed == 4
+        assert config.min_angle_deg == 12.5
+        assert config.max_outer_iters == 40
+        assert config.lambda_grid == (1e-4, 1e-2)
+
+    def test_b_range_needs_two_values(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CFG + "b_range = 1,2,3\n")
+        with pytest.raises(ParseError) as err:
+            parse_experiment_config(path)
+        assert err.value.line == CFG.count("\n") + 1
+
+
+def _spec(**changes):
+    """The SyntheticSpec of a CFG cell with `changes` applied."""
+    return SyntheticSpec(**{"model": "lmm", "R": 3, "L": 30, "T": 16, "snr_db": 25.0, **changes})
+
+
+class TestInvalidConfig:
+    # Each case edits one value of CFG; `owner` builds the type that owns the
+    # value with the same setting, which gives the message the CLI must print.
+    @pytest.mark.parametrize(
+        "old, new, owner",
+        [
+            (
+                "algorithms = ls,fcls",
+                "algorithms = ls\nmax_outer_iters = 0",
+                lambda: SolverConfig(max_outer_iters=0),
+            ),
+            ("model = lmm", "model = gbm", lambda: _spec(model="gbm")),
+            ("R = 3", "R = 0", lambda: _spec(R=0)),
+            ("corrupt_list = 0,6", "corrupt_list = 0,60", lambda: _spec(n_corrupt=60)),
+            (
+                "metric = rmse,sre",
+                "metric = rmse,sre\nlambda_grid = -1",
+                lambda: SolverConfig(lam=-1.0),
+            ),
+            ("seeds = 1,2,3", "seeds = 1,-2", lambda: _spec(seed=-2)),
+            ("snr_db = 25", "snr_db = -inf", lambda: _spec(snr_db=-math.inf)),
+        ],
+        ids=["max_outer_iters", "model", "R", "corrupt_list", "lambda_grid", "seeds", "snr_db"],
+    )
+    def test_stops_before_any_cell_runs(self, old, new, owner, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace(old, new))
+        calls = []
+
+        def counting_run_cell(*args):
+            calls.append(args)
+            return run_cell(*args)
+
+        monkeypatch.setattr(experiment, "run_cell", counting_run_cell)
+        out = tmp_path / "rows.tsv"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert calls == []
+        with pytest.raises(InvalidInput) as expected:
+            owner()
+        assert str(expected.value) in capsys.readouterr().err
 
 
 class TestGrid:

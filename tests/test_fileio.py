@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from unmix.experiment import DEFAULT_LAMBDA_GRID, parse_experiment_config
 from unmix.fileio import (
-    DEFAULT_LAMBDA_GRID,
     BadMagic,
     ParseError,
     ShapeMismatch,
     parse_band_ranges,
-    parse_experiment_config,
     read_matrix,
     read_truth_meta,
     write_matrix,

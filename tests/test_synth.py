@@ -115,6 +115,15 @@ class TestGenCube:
                 X_true=gen_abundances(2, 3), corrupted_bands=(3, 1), b=None, noise_sigma=0.1, seed=0
             )
 
+    def test_spec_rejects_minus_inf_snr(self):
+        # gen_cube reads an infinite SNR as noiseless; only +inf means that
+        with pytest.raises(InvalidInput, match=r"\+inf"):
+            SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=-math.inf)
+
+    def test_spec_rejects_negative_seed(self):
+        with pytest.raises(InvalidInput, match="seed"):
+            SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=20.0, seed=-1)
+
 
 class TestGenEndmembers:
     def test_shape_and_range(self):
