@@ -68,12 +68,6 @@ def _add_algorithms(sub):
             )
             p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty (default 1)")
             p.add_argument(
-                "--eta",
-                type=float,
-                default=None,
-                help="inner step (default 1/(||A||_2^2/sigma^2 + coupling curvature))",
-            )
-            p.add_argument(
                 "--max-iters", type=int, default=1000, help="outer iteration cap (default 1000)"
             )
             p.add_argument(
@@ -113,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unmix",
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
-        epilog="Solver defaults: rho=1, eta=1/(||A||_2^2/sigma^2 + coupling curvature), "
-        "inner tolerance 1e-6, 50 inner and 1000 outer iterations, "
-        "residual thresholds sqrt(R*T)*1e-5. "
+        epilog="Solver defaults: rho=1, 50 inner and 1000 outer iterations, "
+        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: inner step "
+        "eta=1/(||A||_2^2/sigma^2 + coupling curvature), inner tolerance 1e-6. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    lo, hi = (float(v) for v in args.b_range.split(","))
     if args.endmembers is not None:
         M = fileio.read_matrix(args.endmembers)
     else:
@@ -143,7 +136,7 @@ def cmd_generate(args) -> int:
         n_corrupt=args.corrupt,
         sparsity_K=args.K,
         seed=args.seed,
-        b_range=(lo, hi),
+        b_range=fileio.parse_interval(args.b_range),
     )
     Y, truth = synth.gen_cube(M, spec)
     out = Path(args.out_dir)
@@ -184,7 +177,6 @@ def cmd_unmix(args) -> int:
         options.update(
             sigma=args.sigma,
             rho=args.rho,
-            eta=args.eta,
             max_outer_iters=args.max_iters,
             max_inner_iters=args.max_inner_iters,
             sigma_auto=args.sigma_auto,
@@ -234,7 +226,11 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = experiment.parse_experiment_config(args.config)
-    max_workers = int(os.environ.get("UNMIX_THREADS", "1"))
+    text = os.environ.get("UNMIX_THREADS", "1")
+    try:
+        max_workers = int(text)
+    except ValueError:
+        raise fileio.ParseError(f"UNMIX_THREADS must be an integer, got {text!r}") from None
     if max_workers < 1:
         raise fileio.ParseError(f"UNMIX_THREADS must be >= 1, got {max_workers}")
     rows = experiment.run_experiment(config, max_workers=max_workers)

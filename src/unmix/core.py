@@ -176,25 +176,25 @@ class SolverConfig:
 
     sigma           Gaussian kernel bandwidth; None is allowed only with sigma_auto.
     rho             ADMM penalty.
-    eta             inner gradient step; None selects
-                    1 / (||A||_2^2 / sigma^2 + curvature of the coupling), A the
-                    mixing operator seen by the inner variables.
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
                     residual norms below sqrt(R*T) times these.
-    inner_tol       relative gradient-norm tolerance of the inner descent.
+    max_*_iters     outer iteration cap; gradient steps per x-update.
     sigma_auto      run the bandwidth tuner instead of using `sigma`.
+
+    The inner descent's step and tolerance are fixed values, not settings: the
+    step is 1 / (||A||_2^2 / sigma^2 + curvature of the coupling), A the mixing
+    operator seen by the inner variables, and the tolerance is 1e-6 relative
+    gradient norm.
     """
 
     sigma: Optional[float] = None
     rho: float = 1.0
-    eta: Optional[float] = None
     lam: float = 0.0
     eps_primal: float = 1e-5
     eps_dual: float = 1e-5
     max_outer_iters: int = 1000
     max_inner_iters: int = 50
-    inner_tol: float = 1e-6
     sigma_auto: bool = False
 
     def __post_init__(self):
@@ -202,16 +202,12 @@ class SolverConfig:
             raise InvalidInput("sigma must be a positive finite real")
         if not (self.rho > 0 and np.isfinite(self.rho)):
             raise InvalidInput("rho must be a positive finite real")
-        if self.eta is not None and not (self.eta > 0 and np.isfinite(self.eta)):
-            raise InvalidInput("eta must be a positive finite real")
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise InvalidInput("lam must be a nonnegative finite real")
         if not (self.eps_primal > 0 and self.eps_dual > 0):
             raise InvalidInput("residual tolerances must be positive")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise InvalidInput("iteration caps must be >= 1")
-        if not (self.inner_tol > 0):
-            raise InvalidInput("inner_tol must be positive")
 
 
 class Termination(Enum):

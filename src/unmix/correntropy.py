@@ -5,10 +5,11 @@ sparsity-promoting solver) and the reduced matrix with the last endmember row
 eliminated through the sum-to-one constraint (used by the fully-constrained
 solver).
 
-Per-band residual energies are accumulated in 80-bit extended precision before
-exponentiation so the band weights stay stable for large cubes. All reductions
-go through numpy's fixed-tree pairwise summation: for a given array shape,
-repeated evaluations are bit-identical.
+The objectives, gradients and residual cache go through one kernel: the
+residual of the fit, its per-band energies and the Gaussian band weights. The
+layer computes in float64, so its results are the same on every platform. All reductions go through numpy's
+fixed-tree pairwise summation: for a given array shape, repeated evaluations
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -77,22 +78,33 @@ def _check_sigma(sigma: float) -> float:
     return float(sigma)
 
 
-def _band_weights_of(eps: np.ndarray, sigma: float) -> np.ndarray:
-    # Row-wise residual energy summed with a longdouble accumulator, then the
-    # Gaussian factor; underflow to 0.0 is the intended saturation for bands
-    # far outside the kernel width.
-    s = np.sum(eps * eps, axis=1, dtype=np.longdouble)
+def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool):
+    """Operator A seen by the variables, residual Y - (fit) and band weights at X.
+
+    The reduced fit is Mbar Xr + m_R with Mbar = M[:, :-1] - m_R (m_R the last
+    endmember), which equals M times the reconstructed full matrix.
+    """
+    arr = _check_shapes(handle, X, reduced)
+    sigma = _check_sigma(sigma)
+    if reduced:
+        m_last = handle.M[:, -1:]
+        A = handle.M[:, :-1] - m_last
+        eps = handle.Y - (A @ arr + m_last)
+    else:
+        A = handle.M
+        eps = handle.Y - A @ arr
+    # Row-wise residual energy (pairwise sum along the contiguous axis), then
+    # the Gaussian factor; underflow to 0.0 is the intended saturation for
+    # bands far outside the kernel width.
     with np.errstate(under="ignore"):
-        w = np.exp(-s / (2.0 * np.longdouble(sigma) ** 2))
-    return w.astype(float)
+        w = np.exp(-np.sum(eps * eps, axis=1) / (2.0 * sigma**2))
+    return A, eps, w
 
 
 def residual_cache(handle: ProblemHandle, X, sigma: float) -> ResidualCache:
     """Residuals and band weights at X; recomputed fresh on every call."""
-    arr = _check_shapes(handle, X, reduced=False)
-    sigma = _check_sigma(sigma)
-    eps = handle.Y - handle.M @ arr
-    return ResidualCache(eps=eps, band_weights=_band_weights_of(eps, sigma))
+    _, eps, w = _kernel(handle, X, sigma, reduced=False)
+    return ResidualCache(eps=eps, band_weights=w)
 
 
 def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
@@ -100,42 +112,27 @@ def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
     return residual_cache(handle, X, sigma).band_weights
 
 
+def _gradient(handle: ProblemHandle, X, sigma: float, reduced: bool) -> np.ndarray:
+    A, eps, w = _kernel(handle, X, sigma, reduced)
+    return -(1.0 / float(sigma) ** 2) * (A.T @ (w[:, np.newaxis] * eps))
+
+
 def objective_C(handle: ProblemHandle, X, sigma: float) -> float:
     """Negative correntropy of the fit M X to Y; always in [-L, 0)."""
-    return -float(np.sum(residual_cache(handle, X, sigma).band_weights))
+    return -float(np.sum(_kernel(handle, X, sigma, reduced=False)[2]))
 
 
 def gradient_full(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
     """Exact gradient of objective_C with respect to the full R x T matrix."""
-    arr = _check_shapes(handle, X, reduced=False)
-    sigma = _check_sigma(sigma)
-    eps = handle.Y - handle.M @ arr
-    w = _band_weights_of(eps, sigma)
-    return -(1.0 / sigma**2) * (handle.M.T @ (w[:, np.newaxis] * eps))
-
-
-def _reduced_system(handle: ProblemHandle):
-    """Shifted system (Mbar, Ybar) so that residuals of the reduced variables
-    equal residuals of the reconstructed full matrix."""
-    m_last = handle.M[:, -1][:, np.newaxis]
-    return handle.M[:, :-1] - m_last, handle.Y - m_last
+    return _gradient(handle, X, sigma, reduced=False)
 
 
 def objective_reduced_f1(handle: ProblemHandle, Xr, sigma: float) -> float:
     """Negative correntropy in the reduced variables; equals objective_C at the
     reconstructed full matrix."""
-    arr = _check_shapes(handle, Xr, reduced=True)
-    sigma = _check_sigma(sigma)
-    Mbar, Ybar = _reduced_system(handle)
-    eps = Ybar - Mbar @ arr
-    return -float(np.sum(_band_weights_of(eps, sigma)))
+    return -float(np.sum(_kernel(handle, Xr, sigma, reduced=True)[2]))
 
 
 def gradient_reduced_f1(handle: ProblemHandle, Xr, sigma: float) -> np.ndarray:
     """Exact gradient of objective_reduced_f1, shape (R-1) x T."""
-    arr = _check_shapes(handle, Xr, reduced=True)
-    sigma = _check_sigma(sigma)
-    Mbar, Ybar = _reduced_system(handle)
-    eps = Ybar - Mbar @ arr
-    w = _band_weights_of(eps, sigma)
-    return -(1.0 / sigma**2) * (Mbar.T @ (w[:, np.newaxis] * eps))
+    return _gradient(handle, Xr, sigma, reduced=True)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import metrics, solvers, synth
 from .core import SolverConfig, UnmixError, validate_problem
-from .fileio import ParseError, format_float
+from .fileio import ParseError, format_float, parse_interval
 
 # The default l1 grid used when a config does not set lambda_grid.
 DEFAULT_LAMBDA_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2, 1e-1)
@@ -97,13 +97,6 @@ def _metric(name: str) -> str:
     return _METRIC_NAMES[name.upper()]
 
 
-def _interval(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected 'lo,hi'")
-    return float(parts[0]), float(parts[1])
-
-
 # config key -> (ExperimentConfig field, converter of the value text)
 _KEYS = {
     "model": ("model", str),
@@ -117,7 +110,7 @@ _KEYS = {
     "seeds": ("seeds", _items(int)),
     "metric": ("metrics", _items(_metric)),
     "K": ("K", int),
-    "b_range": ("b_range", _interval),
+    "b_range": ("b_range", parse_interval),
     "endmember_seed": ("endmember_seed", int),
     "min_angle_deg": ("min_angle_deg", float),
     "max_outer_iters": ("max_outer_iters", int),

@@ -111,6 +111,14 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def parse_interval(text: str) -> tuple:
+    """'lo,hi' into a pair of floats; ValueError on any other shape."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected 'lo,hi'")
+    return float(parts[0]), float(parts[1])
+
+
 def parse_band_ranges(text: str) -> list:
     """1-based inclusive ranges like '1-3,105-115' into sorted 0-based indices."""
     indices: set = set()

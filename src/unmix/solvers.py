@@ -46,6 +46,8 @@ from .correntropy import (
 )
 
 _ARMIJO_C = 1e-4
+# Relative gradient-norm tolerance of the inner descent in both solvers.
+_INNER_TOL = 1e-6
 _MAX_HALVINGS = 60
 _TUNER_ATTEMPT_CAP = 60
 _TUNER_GROWTH = 1.2
@@ -257,15 +259,13 @@ def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
     return v.reshape(T, R).T
 
 
-def _default_eta(config: SolverConfig, sigma: float, A: np.ndarray, quad_curvature: float) -> float:
+def _default_eta(sigma: float, A: np.ndarray, quad_curvature: float) -> float:
     """Inner step size: inverse of a curvature bound of the inner objective.
 
     The data term contributes at most ||A||_2^2 / sigma^2 (A is the mixing
     operator seen by the inner variables), the coupling term quad_curvature;
     Armijo halving absorbs the nonconvex remainder.
     """
-    if config.eta is not None:
-        return config.eta
     lip = float(np.linalg.norm(A, 2)) ** 2 / sigma**2 + quad_curvature
     return 1.0 / lip
 
@@ -314,7 +314,7 @@ def _run_cusal_fc(
     x0 = _vec(np.asarray(X0, dtype=float))
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     Mbar = handle.M[:, :-1] - handle.M[:, -1][:, np.newaxis]
-    eta = _default_eta(config, sigma, Mbar, config.rho * R)
+    eta = _default_eta(sigma, Mbar, config.rho * R)
 
     def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         Zk = _mat(z, R, T)
@@ -337,7 +337,7 @@ def _run_cusal_fc(
             return G.T.ravel()
 
         xr = inner_gradient_descent(
-            grad, obj, xr0.T.ravel(), eta, config.max_inner_iters, config.inner_tol
+            grad, obj, xr0.T.ravel(), eta, config.max_inner_iters, _INNER_TOL
         )
         return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
 
@@ -369,7 +369,7 @@ def _run_cusal_sp(
         X0 = _default_init_sp(handle)
     x0 = _vec(np.asarray(X0, dtype=float))
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
-    eta = _default_eta(config, sigma, handle.M, config.rho)
+    eta = _default_eta(sigma, handle.M, config.rho)
     thresh = config.lam / config.rho
 
     def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -385,9 +385,7 @@ def _run_cusal_sp(
             G = gradient_full(handle, _mat(x_vec, R, T), sigma)
             return _vec(G) + config.rho * (x_vec - v)
 
-        return inner_gradient_descent(
-            grad, obj, x_prev, eta, config.max_inner_iters, config.inner_tol
-        )
+        return inner_gradient_descent(grad, obj, x_prev, eta, config.max_inner_iters, _INNER_TOL)
 
     def g_prox(v: np.ndarray) -> np.ndarray:
         return project_nonnegative(soft_threshold(v, thresh))
@@ -531,7 +529,8 @@ class Algorithm:
 
     takes_lambda    the algorithm reads the l1 weight config.lam.
     correntropy     the algorithm takes the correntropy solver options
-                    (bandwidth, rho, eta, iteration caps).
+                    (bandwidth, rho, iteration caps); the inner step and
+                    tolerance are fixed, not options.
     solve           solve(handle, config) -> (abundances, report or None).
     """
 

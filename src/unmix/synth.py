@@ -177,6 +177,12 @@ def gen_endmembers(R: int, L: int, seed: int = 0, min_angle_deg: float = 10.0) -
 
     Candidates are rejection-sampled; generation fails after 10^4 rejections.
     """
+    if R < 1:
+        raise InvalidInput(f"R must be positive, got {R}")
+    if seed < 0:
+        raise InvalidInput(f"endmember seed must be nonnegative, got {seed}")
+    if not (math.isfinite(min_angle_deg) and min_angle_deg >= 0):
+        raise InvalidInput(f"min_angle_deg must be a finite nonnegative angle, got {min_angle_deg}")
     if R > L:
         raise InvalidInput(f"cannot place {R} endmembers in {L} bands")
     rng = np.random.default_rng(seed)

@@ -84,6 +84,16 @@ class TestGenerate:
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_b_range_needs_two_values(self, tmp_path, capsys):
+        # the same converter as the experiment config's b_range key
+        out = tmp_path / "cube"
+        code = run_cli(
+            "generate", "--R", 3, "--L", 20, "--T", 5, "--b-range", "1,2,3", "--out-dir", out,
+        )
+        assert code == EXIT_INPUT
+        assert "expected 'lo,hi'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUnmixCommands:
     def test_ls_on_identity_endmembers_reproduces_y(self, tmp_path):

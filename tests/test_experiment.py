@@ -99,8 +99,17 @@ class TestInvalidConfig:
             ),
             ("seeds = 1,2,3", "seeds = 1,-2", lambda: _spec(seed=-2)),
             ("snr_db = 25", "snr_db = -inf", lambda: _spec(snr_db=-math.inf)),
+            ("R = 3", "R = 3\nendmember_seed = -1", lambda: gen_endmembers(3, 30, seed=-1)),
+            (
+                "R = 3",
+                "R = 3\nmin_angle_deg = nan",
+                lambda: gen_endmembers(3, 30, min_angle_deg=math.nan),
+            ),
         ],
-        ids=["max_outer_iters", "model", "R", "corrupt_list", "lambda_grid", "seeds", "snr_db"],
+        ids=[
+            "max_outer_iters", "model", "R", "corrupt_list", "lambda_grid", "seeds", "snr_db",
+            "endmember_seed", "min_angle_deg",
+        ],
     )
     def test_stops_before_any_cell_runs(self, old, new, owner, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -208,6 +217,16 @@ class TestCliExperiment:
         monkeypatch.setenv("UNMIX_THREADS", "3")
         assert main(["experiment", str(cfg), "--out", str(out3)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_is_input_error(self, threads, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG)
+        out = tmp_path / "rows.tsv"
+        monkeypatch.setenv("UNMIX_THREADS", threads)
+        assert main(["experiment", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert "UNMIX_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_header_and_value_format(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

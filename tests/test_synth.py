@@ -150,3 +150,18 @@ class TestGenEndmembers:
     def test_r_bounded_by_l(self):
         with pytest.raises(InvalidInput):
             gen_endmembers(10, 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(R=3, seed=-1), "seed"),
+            (dict(R=0), "R"),
+            (dict(R=3, min_angle_deg=math.nan), "min_angle_deg"),
+            (dict(R=3, min_angle_deg=-5.0), "min_angle_deg"),
+        ],
+        ids=["seed", "R", "nan_angle", "negative_angle"],
+    )
+    def test_rejects_bad_arguments_naming_the_field(self, kwargs, field):
+        # a nan angle compares false, so it would silently accept every candidate
+        with pytest.raises(InvalidInput, match=field):
+            gen_endmembers(L=20, **kwargs)
