@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import experiment, fileio, metrics, solvers, synth
 from .core import (
+    InvalidInput,
     SolverConfig,
     Termination,
     TuningFailed,
@@ -190,13 +191,23 @@ def cmd_unmix(args) -> int:
             with open(args.report_path, "w", encoding="utf-8") as fh:
                 fh.write(f"# termination_reason direct\n# iterations_run 0\n")
                 fh.write("iteration\tprimal_residual\tdual_residual\tobjective\n")
-    if report is not None and report.termination_reason == Termination.PRIMAL_INCREASED:
+    reason = None if report is None else report.termination_reason
+    if reason == Termination.PRIMAL_INCREASED:
         print("warning: solver terminated on a primal residual increase", file=sys.stderr)
         return EXIT_DIVERGED
+    if reason == Termination.MAX_ITERS:
+        print(
+            f"warning: solver stopped at its iteration cap (--max-iters {args.max_iters}) after "
+            f"{report.iterations_run} outer iterations, before the residual tolerances were met",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    flag = "--exclude" if args.exclude else "--degrees" if args.degrees else None
+    if flag is not None and args.metric != "sad":
+        raise InvalidInput(f"{flag} applies only to sad, not to {args.metric}")
     truth = fileio.read_matrix(args.truth)
     estimate = fileio.read_matrix(args.estimate)
     if args.reconstruct_with is not None:

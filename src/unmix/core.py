@@ -179,7 +179,7 @@ class SolverConfig:
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
                     residual norms below sqrt(R*T) times these.
-    max_*_iters     outer iteration cap; gradient steps per x-update.
+    max_*_iters     outer iteration cap; gradient steps per x-update (integers).
     sigma_auto      run the bandwidth tuner instead of using `sigma`.
 
     The inner descent's step and tolerance are fixed values, not settings: the
@@ -200,14 +200,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.sigma is not None and not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise InvalidInput("sigma must be a positive finite real")
-        if not (self.rho > 0 and np.isfinite(self.rho)):
-            raise InvalidInput("rho must be a positive finite real")
+        for name in ("rho", "eps_primal", "eps_dual"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise InvalidInput(f"{name} must be a positive finite real")
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise InvalidInput("lam must be a nonnegative finite real")
-        if not (self.eps_primal > 0 and self.eps_dual > 0):
-            raise InvalidInput("residual tolerances must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise InvalidInput("iteration caps must be >= 1")
+        for name in ("max_outer_iters", "max_inner_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise InvalidInput(f"{name} must be an integer >= 1")
 
 
 class Termination(Enum):

@@ -270,24 +270,6 @@ def _default_eta(sigma: float, A: np.ndarray, quad_curvature: float) -> float:
     return 1.0 / lip
 
 
-def _resolve_sigma(config: SolverConfig) -> float:
-    if config.sigma is None:
-        raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
-    return config.sigma
-
-
-def _default_init_fc(handle: ProblemHandle) -> np.ndarray:
-    return _project_columns_to_simplex(baselines.solve_ls(handle).data)
-
-
-def _default_init_sp(handle: ProblemHandle) -> np.ndarray:
-    # The nonnegative least-squares fit: feasible, and its residual stays on
-    # the least-squares scale, which keeps the kernel weights alive at the
-    # data-driven starting bandwidth. Clipping the plain LS solution can land
-    # far outside the kernel width when the endmembers are strongly correlated.
-    return baselines.solve_sunsal_sparse(handle, 0.0).data
-
-
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Renormalize the z iterate's columns to exact unit sum; fall back to the
     simplex projection of the x column when z degenerates to all zeros."""
@@ -299,20 +281,29 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_cusal_fc(
-    handle: ProblemHandle,
-    config: SolverConfig,
-    sigma: float,
-    X0: Optional[np.ndarray],
-    on_iteration,
+def _run_admm(
+    handle: ProblemHandle, config: SolverConfig, sigma: float, f_solver, g_prox, X0, on_iteration
 ):
+    """The ADMM run both problems share: x and z start at the warm start X0, the
+    scaled dual at zero, and the report traces objective_C at sigma. Returns the
+    final state and the report."""
+    x0 = _vec(np.asarray(X0, dtype=float))
+    init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
+    return admm_generic(
+        f_solver,
+        g_prox,
+        config,
+        init,
+        objective_fn=lambda x_vec: objective_C(handle, _mat(x_vec, handle.R, handle.T), sigma),
+        on_iteration=on_iteration,
+        sigma_used=sigma,
+    )
+
+
+def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     R, T = handle.R, handle.T
     if R < 2:
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
-    if X0 is None:
-        X0 = _default_init_fc(handle)
-    x0 = _vec(np.asarray(X0, dtype=float))
-    init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     Mbar = handle.M[:, :-1] - handle.M[:, -1][:, np.newaxis]
     eta = _default_eta(sigma, Mbar, config.rho * R)
 
@@ -341,34 +332,15 @@ def _run_cusal_fc(
         )
         return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
 
-    def objective(x_vec: np.ndarray) -> float:
-        return objective_C(handle, _mat(x_vec, R, T), sigma)
-
-    state, report = admm_generic(
-        f_solver,
-        project_nonnegative,
-        config,
-        init,
-        objective_fn=objective,
-        on_iteration=on_iteration,
-        sigma_used=sigma,
+    state, report = _run_admm(
+        handle, config, sigma, f_solver, project_nonnegative, X0, on_iteration
     )
     X = _feasible_fc(_mat(state.z, R, T), _mat(state.x, R, T))
     return AbundanceMatrix(X, tag="fully_constrained"), report
 
 
-def _run_cusal_sp(
-    handle: ProblemHandle,
-    config: SolverConfig,
-    sigma: float,
-    X0: Optional[np.ndarray],
-    on_iteration,
-):
+def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     R, T = handle.R, handle.T
-    if X0 is None:
-        X0 = _default_init_sp(handle)
-    x0 = _vec(np.asarray(X0, dtype=float))
-    init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     eta = _default_eta(sigma, handle.M, config.rho)
     thresh = config.lam / config.rho
 
@@ -390,19 +362,20 @@ def _run_cusal_sp(
     def g_prox(v: np.ndarray) -> np.ndarray:
         return project_nonnegative(soft_threshold(v, thresh))
 
-    def objective(x_vec: np.ndarray) -> float:
-        return objective_C(handle, _mat(x_vec, R, T), sigma)
-
-    state, report = admm_generic(
-        f_solver,
-        g_prox,
-        config,
-        init,
-        objective_fn=objective,
-        on_iteration=on_iteration,
-        sigma_used=sigma,
-    )
+    state, report = _run_admm(handle, config, sigma, f_solver, g_prox, X0, on_iteration)
     return AbundanceMatrix(_mat(state.z, R, T), tag="nonnegative"), report
+
+
+# Each problem's runner and the default warm start of its runs, fixed-bandwidth
+# or tuned. The sp start is the nonnegative least-squares fit: feasible, and its
+# residual stays on the least-squares scale, which keeps the kernel weights
+# alive at the data-driven starting bandwidth. Clipping the plain LS solution
+# can land far outside the kernel width when the endmembers are strongly
+# correlated.
+_PROBLEMS = {
+    "fc": (_run_cusal_fc, lambda h: _project_columns_to_simplex(baselines.solve_ls(h).data)),
+    "sp": (_run_cusal_sp, lambda h: baselines.solve_sunsal_sparse(h, 0.0).data),
+}
 
 
 def reconstruction_ratio(handle: ProblemHandle, X) -> float:
@@ -433,12 +406,10 @@ def _initial_sigma(handle: ProblemHandle) -> tuple[float, float]:
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
-    if algorithm not in ("fc", "sp"):
-        raise InvalidInput("algorithm must be 'fc' or 'sp'")
-    runner = _run_cusal_fc if algorithm == "fc" else _run_cusal_sp
+    runner, default_init = _PROBLEMS[algorithm]
     if X0 is None:
         # one warm start shared by every attempt
-        X0 = _default_init_fc(handle) if algorithm == "fc" else _default_init_sp(handle)
+        X0 = default_init(handle)
     sigma0_raw, sigma0 = _initial_sigma(handle)
     sigma = sigma0
     p = 1
@@ -477,8 +448,23 @@ def tune_sigma(handle: ProblemHandle, algorithm: str, config: SolverConfig):
     moderate sigma, and restarts from sigma0 / p after divergence at an
     overestimated sigma. Returns the accepted bandwidth and the attempt trace.
     """
+    if algorithm not in _PROBLEMS:
+        raise InvalidInput("algorithm must be 'fc' or 'sp'")
     sigma, trace, _, _ = _tune(handle, algorithm, config, None, None)
     return sigma, trace
+
+
+def _solve(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
+    """cusal_fc and cusal_sp: tune the bandwidth, or run once at config.sigma."""
+    if config.sigma_auto:
+        _, _, X, report = _tune(handle, algorithm, config, X0, on_iteration)
+        return X, report
+    if config.sigma is None:
+        raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
+    runner, default_init = _PROBLEMS[algorithm]
+    if X0 is None:
+        X0 = default_init(handle)
+    return runner(handle, config, config.sigma, X0, on_iteration)
 
 
 def cusal_fc(
@@ -497,10 +483,7 @@ def cusal_fc(
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
     the accepted attempt is returned.
     """
-    if config.sigma_auto:
-        _, _, X, report = _tune(handle, "fc", config, X0, on_iteration)
-        return X, report
-    return _run_cusal_fc(handle, config, _resolve_sigma(config), X0, on_iteration)
+    return _solve(handle, "fc", config, X0, on_iteration)
 
 
 def cusal_sp(
@@ -517,10 +500,7 @@ def cusal_sp(
     Returns the nonnegative z iterate and the run report. With
     config.sigma_auto the bandwidth tuner drives the solve.
     """
-    if config.sigma_auto:
-        _, _, X, report = _tune(handle, "sp", config, X0, on_iteration)
-        return X, report
-    return _run_cusal_sp(handle, config, _resolve_sigma(config), X0, on_iteration)
+    return _solve(handle, "sp", config, X0, on_iteration)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,22 @@ class TestUnmixCommands:
         assert code == EXIT_OK
         assert read_matrix(tmp_path / "X.txt").min() >= 0.0
 
+    def test_capped_solve_warns_on_stderr(self, tmp_path, capsys):
+        cube = tmp_path / "cube"
+        run_cli(
+            "generate", "--R", 3, "--L", 40, "--T", 30, "--snr", 30, "--corrupt", 5,
+            "--seed", 1, "--out-dir", cube,
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "cusal-fc", cube / "Y.txt", cube / "M.txt", "--sigma-auto", "--max-iters", 2,
+            "--out", tmp_path / "X.txt", "--report-path", tmp_path / "r.tsv",
+        )
+        assert code == EXIT_OK
+        assert "# termination_reason max_iters" in (tmp_path / "r.tsv").read_text()
+        err = capsys.readouterr().err
+        assert "iteration cap (--max-iters 2) after 2 outer iterations" in err
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli("ls", tmp_path / "nope.txt", tmp_path / "nope2.txt")
         assert code == EXIT_INPUT
@@ -196,6 +212,20 @@ class TestEval:
         assert lines[0] == "algorithm\tn_corrupt\tseed\tvalue"
         assert len(lines) == 3
         assert lines[1].split("\t") == ["ls", "0", "1", "0"]
+
+    @pytest.mark.parametrize("metric", ["rmse", "sre"])
+    @pytest.mark.parametrize("flag", [["--exclude", "1-3"], ["--degrees"]], ids=lambda f: f[0])
+    def test_sad_only_flags_are_input_errors(self, metric, flag, small_cube, tmp_path, capsys):
+        table = tmp_path / "table.tsv"
+        code = run_cli(
+            "eval", metric, small_cube / "X_true.txt", small_cube / "X_true.txt", *flag,
+            "--append", table,
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[0] in captured.err
+        assert not table.exists()
 
     def test_metric_domain_error_exit_code(self, tmp_path, capsys):
         write_matrix(tmp_path / "z.txt", np.zeros((2, 2)))

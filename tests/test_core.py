@@ -115,6 +115,15 @@ class TestDomainTypes:
             SolverConfig(lam=-1e-3)
         with pytest.raises(InvalidInput):
             SolverConfig(max_outer_iters=0)
+        for name, bad in (
+            ("max_inner_iters", 2.5),
+            ("max_outer_iters", 1.5),
+            ("eps_primal", np.inf),
+            ("eps_dual", np.inf),
+        ):
+            with pytest.raises(InvalidInput, match=name):
+                SolverConfig(**{name: bad})
+        SolverConfig(max_outer_iters=np.int64(5), max_inner_iters=np.int32(3))
 
     def test_report_length_and_consistency_checks(self):
         with pytest.raises(InvalidInput):
