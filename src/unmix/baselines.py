@@ -51,10 +51,13 @@ def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
     return AbundanceMatrix(X)
 
 
-def _default_rho(MtM2: np.ndarray) -> float:
-    # Mean curvature of the quadratic term keeps the fixed penalty on the same
-    # scale as the data term across reflectance magnitudes.
-    return float(np.trace(MtM2) / MtM2.shape[0])
+def _default_rho(M: np.ndarray) -> float:
+    # The geometric mean of the extreme eigenvalues of 2 M'M, 2 s_min s_max,
+    # is the optimal fixed penalty of ADMM on a strongly convex quadratic
+    # (Ghadimi, Teixeira, Shames & Johansson, IEEE TAC 2015); the mean
+    # eigenvalue stalls at the iteration cap on ill-conditioned M.
+    s = np.linalg.svd(M, compute_uv=False)
+    return float(2.0 * s.min() * s.max())
 
 
 def _admm(
@@ -72,10 +75,10 @@ def _admm(
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
     MtM2 = 2.0 * (M.T @ M)
-    rho = _default_rho(MtM2)
+    rho = _default_rho(M)
     try:
         cho = scipy.linalg.cho_factor(MtM2 + rho * np.eye(R))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
+    except scipy.linalg.LinAlgError as exc:
         raise SingularNormalEquations(str(exc)) from exc
     MtY2 = 2.0 * (M.T @ Y)
     if sum_to_one:

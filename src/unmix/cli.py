@@ -208,21 +208,22 @@ def cmd_eval(args) -> int:
     flag = "--exclude" if args.exclude else "--degrees" if args.degrees else None
     if flag is not None and args.metric != "sad":
         raise InvalidInput(f"{flag} applies only to sad, not to {args.metric}")
+    label = (
+        "--algorithm" if args.algorithm else "--n-corrupt" if args.n_corrupt
+        else "--seed" if args.seed else None
+    )
+    if label is not None and args.append is None:
+        raise InvalidInput(f"{label} is a row label and needs --append")
     truth = fileio.read_matrix(args.truth)
     estimate = fileio.read_matrix(args.estimate)
     if args.reconstruct_with is not None:
         M = fileio.read_matrix(args.reconstruct_with)
         estimate = linear_mix(M, estimate)
-    if args.metric == "rmse":
-        name, value = "RMSE", metrics.rmse(truth, estimate)
-    elif args.metric == "sre":
-        name, value = "SRE_dB", metrics.sre_db(truth, estimate)
-    else:
-        exclude = fileio.parse_band_ranges(args.exclude) if args.exclude else []
-        value = metrics.sad(truth, estimate, exclude_bands=exclude)
-        name = "SAD_rad"
-        if args.degrees:
-            name, value = "SAD_deg", math.degrees(value)
+    exclude = fileio.parse_band_ranges(args.exclude)
+    result = metrics.evaluate_metric(metrics.resolve_metric(args.metric), truth, estimate, exclude)
+    name, value = result.name, result.value
+    if args.degrees:
+        name, value = "SAD_deg", math.degrees(value)
     print(f"{name}\t{fileio.format_float(value)}")
     if args.append is not None:
         new = not os.path.exists(args.append)

@@ -174,7 +174,8 @@ class AbundanceMatrix:
 class SolverConfig:
     """Hyperparameters shared by the correntropy solvers.
 
-    sigma           Gaussian kernel bandwidth; None is allowed only with sigma_auto.
+    sigma           Gaussian kernel bandwidth; required unless sigma_auto, and
+                    rejected with it.
     rho             ADMM penalty.
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
@@ -200,6 +201,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.sigma is not None and not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise InvalidInput("sigma must be a positive finite real")
+        if self.sigma is not None and self.sigma_auto:
+            raise InvalidInput("sigma and sigma_auto are exclusive: set one of them")
         for name in ("rho", "eps_primal", "eps_dual"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from . import metrics, solvers, synth
-from .core import SolverConfig, UnmixError, validate_problem
+from .core import InvalidInput, SolverConfig, UnmixError, validate_problem
 from .fileio import ParseError, format_float, parse_interval
 
 # The default l1 grid used when a config does not set lambda_grid.
@@ -86,17 +86,6 @@ def _algorithm(name: str) -> str:
     return name
 
 
-_METRIC_NAMES = {
-    "RMSE": "RMSE", "SRE": "SRE_dB", "SRE_DB": "SRE_dB", "SAD": "SAD_rad", "SAD_RAD": "SAD_rad"
-}
-
-
-def _metric(name: str) -> str:
-    if name.upper() not in _METRIC_NAMES:
-        raise ValueError(f"unknown metric {name!r}")
-    return _METRIC_NAMES[name.upper()]
-
-
 # config key -> (ExperimentConfig field, converter of the value text)
 _KEYS = {
     "model": ("model", str),
@@ -108,7 +97,7 @@ _KEYS = {
     "algorithms": ("algorithms", _items(_algorithm)),
     "lambda_grid": ("lambda_grid", _items(float)),
     "seeds": ("seeds", _items(int)),
-    "metric": ("metrics", _items(_metric)),
+    "metric": ("metrics", _items(metrics.resolve_metric)),
     "K": ("K", int),
     "b_range": ("b_range", parse_interval),
     "endmember_seed": ("endmember_seed", int),
@@ -139,7 +128,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
                 raise ParseError(f"duplicate key {key!r}", line=lineno)
             try:
                 values[name] = convert(value.strip())
-            except ValueError as exc:
+            except (ValueError, InvalidInput) as exc:
                 raise ParseError(f"key {key!r}: {exc}", line=lineno) from None
     required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
     for key, (name, _) in _KEYS.items():
@@ -149,9 +138,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
 
 TSV_COLUMNS = ("algorithm", "model", "snr", "n_corrupt", "K", "seed", "metric", "value", "status")
-
-# Lower is better for these metrics when collapsing a lambda grid.
-_MINIMIZE = {"RMSE": True, "SRE_dB": False, "SAD_rad": True}
 
 
 @dataclass(frozen=True)
@@ -233,7 +219,7 @@ def run_cell(config: ExperimentConfig, M, algorithm: str, n_corrupt: int, seed: 
         candidates = [entry.solve(handle, config.solver_config(lam))[0] for lam in lams]
         for name in config.metrics:
             values = [_metric_value(name, truth, handle, X) for X in candidates]
-            make_row(name, min(values) if _MINIMIZE[name] else max(values))
+            make_row(name, min(values) if metrics.LOWER_IS_BETTER[name] else max(values))
     except UnmixError as exc:
         rows = []
         for name in config.metrics:

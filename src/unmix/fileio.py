@@ -1,9 +1,10 @@
 """Text file formats: the matrix container and the ground-truth sidecar.
 
 Matrix container: first line `UNMIX-MATRIX v1 <rows> <cols>`, then one row per
-line with space-separated decimal or scientific values; lines starting with `#`
-are ignored. Values are written with 17 significant digits so a write/read
-round trip is exact for float64.
+line with space-separated decimal or scientific values; blank lines and lines
+whose first non-blank character is `#` are ignored anywhere in the file.
+Values are written with 17 significant digits so a write/read round trip is
+exact for float64.
 """
 
 from __future__ import annotations
@@ -39,22 +40,21 @@ def write_matrix(path, matrix) -> None:
     rows, cols = arr.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC} {rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(f"{v:.17g}" for v in arr[r]) + "\n")
+        np.savetxt(fh, arr, fmt="%.17g")
 
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.startswith("#") or not line.strip():
-            continue
-        header_idx = i
-        break
-    if header_idx is None:
+    # (line number, stripped text) of the lines that are neither blank nor `#` comments
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            entries.append((lineno, stripped))
+    if not entries:
         raise BadMagic(f"{path}: empty file")
-    parts = lines[header_idx].split()
+    parts = entries[0][1].split()
     if len(parts) != 4 or " ".join(parts[:2]) != MAGIC:
         raise BadMagic(f"{path}: expected header '{MAGIC} <rows> <cols>'")
     try:
@@ -64,10 +64,7 @@ def read_matrix(path) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
     values: list[float] = []
-    for lineno, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in entries[1:]:
         for tok in stripped.split():
             try:
                 v = float(tok)

@@ -16,7 +16,16 @@ from .core import (
     ZeroNormSpectrum,
 )
 
-METRIC_NAMES = ("RMSE", "SRE_dB", "SAD_rad")
+# Each metric's label, and whether a lower value is better.
+LOWER_IS_BETTER = {"RMSE": True, "SRE_dB": False, "SAD_rad": True}
+
+
+def resolve_metric(text: str) -> str:
+    """The label that `text` names: a label or its part before '_', in any case."""
+    for label in LOWER_IS_BETTER:
+        if text.upper() in (label.upper(), label.split("_")[0].upper()):
+            return label
+    raise InvalidInput(f"unknown metric {text!r}")
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,7 @@ class MetricResult:
     n_items: int
 
     def __post_init__(self):
-        if self.name not in METRIC_NAMES:
+        if self.name not in LOWER_IS_BETTER:
             raise InvalidInput(f"unknown metric name {self.name!r}")
         if self.name == "RMSE" and not self.value >= 0:
             raise InvalidInput("RMSE must be nonnegative")

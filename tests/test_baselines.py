@@ -185,6 +185,32 @@ def test_capped_solve_returns_tagged_feasible_result(monkeypatch, solve, simplex
         np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
 
 
+def test_ill_conditioned_cube_converges_to_kkt_point():
+    # R=20 endmembers at 10-degree separation: the mean-eigenvalue penalty
+    # stalled both solves at the iteration cap, 1.2e-5 from a KKT point
+    M = gen_endmembers(20, 244, seed=0).data
+    spec = SyntheticSpec(model="lmm", R=20, L=244, T=20, snr_db=30.0, n_corrupt=10, seed=1)
+    Y = gen_cube(M, spec)[0].data
+    h = validate_problem(Y, M)
+    X_fc = solve_fcls(h).data
+    X_nn = solve_sunsal_sparse(h, 0.0).data
+    for t in range(h.T):
+        assert fcls_kkt_residual(M, Y[:, t], X_fc[:, t]) < 1e-6
+        assert sparse_prox_fixed_point_residual(M, Y[:, t], X_nn[:, t], 0.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_fcls, lambda h: solve_sunsal_sparse(h, 0.0)], ids=["fcls", "sunsal-sparse"]
+)
+def test_duplicated_endmember_raises(solve):
+    rng = np.random.default_rng(0)
+    m = rng.uniform(size=(10, 1))
+    with pytest.warns(UserWarning):
+        h = validate_problem(rng.uniform(size=(10, 3)), np.hstack([m, m, rng.uniform(size=(10, 1))]))
+    with pytest.raises(SingularNormalEquations):
+        solve(h)
+
+
 def test_cusal_large_sigma_consistency_small(rng):
     # quick version of the large-bandwidth consistency check
     from unmix import SolverConfig, cusal_fc, cusal_sp

@@ -163,6 +163,15 @@ class TestUnmixCommands:
         err = capsys.readouterr().err
         assert "iteration cap (--max-iters 2) after 2 outer iterations" in err
 
+    def test_sigma_with_sigma_auto_is_input_error(self, small_cube, tmp_path, capsys):
+        code = run_cli(
+            "cusal-fc", small_cube / "Y.txt", small_cube / "M.txt", "--sigma", 0.05,
+            "--sigma-auto", "--out", tmp_path / "X.txt",
+        )
+        assert code == EXIT_INPUT
+        assert "sigma and sigma_auto" in capsys.readouterr().err
+        assert not (tmp_path / "X.txt").exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli("ls", tmp_path / "nope.txt", tmp_path / "nope2.txt")
         assert code == EXIT_INPUT
@@ -226,6 +235,14 @@ class TestEval:
         assert captured.out == ""
         assert flag[0] in captured.err
         assert not table.exists()
+
+    @pytest.mark.parametrize("flag", ["--algorithm", "--n-corrupt", "--seed"])
+    def test_row_labels_need_append(self, flag, small_cube, capsys):
+        code = run_cli("eval", "rmse", small_cube / "X_true.txt", small_cube / "X_true.txt", flag, 3)
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and "--append" in captured.err
 
     def test_metric_domain_error_exit_code(self, tmp_path, capsys):
         write_matrix(tmp_path / "z.txt", np.zeros((2, 2)))

@@ -123,6 +123,8 @@ class TestDomainTypes:
         ):
             with pytest.raises(InvalidInput, match=name):
                 SolverConfig(**{name: bad})
+        with pytest.raises(InvalidInput, match="sigma and sigma_auto"):
+            SolverConfig(sigma=0.05, sigma_auto=True)
         SolverConfig(max_outer_iters=np.int64(5), max_inner_iters=np.int32(3))
 
     def test_report_length_and_consistency_checks(self):

@@ -29,6 +29,12 @@ class TestMatrixFormat:
         first = path.read_text().splitlines()[0]
         assert first == "UNMIX-MATRIX v1 2 2"
 
+    def test_values_written_with_17_significant_digits(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 0.1, 1 / 3]
+        path = tmp_path / "v.txt"
+        write_matrix(path, np.array([values]))
+        assert path.read_text().splitlines()[1] == " ".join(format(v, ".17g") for v in values)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("MATRIX 2 2\n1 2\n3 4\n")
@@ -52,6 +58,11 @@ class TestMatrixFormat:
         path = tmp_path / "c.txt"
         path.write_text("# leading comment\nUNMIX-MATRIX v1 2 2\n1 2\n# interleaved\n3 4\n")
         np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_indented_comment_before_header_ignored(self, tmp_path):
+        path = tmp_path / "ic.txt"
+        path.write_text("  # indented note\nUNMIX-MATRIX v1 1 2\n\t# another\n1 2\n")
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0]])
 
     def test_scientific_notation(self, tmp_path):
         path = tmp_path / "s.txt"
