@@ -1,7 +1,7 @@
 """Robust hyperspectral abundance estimation by correntropy maximization.
 
 Solvers for the fully-constrained and sparsity-promoting problems (ADMM with
-an inexact gradient x-update and an automatic kernel bandwidth search),
+an inexact half-quadratic x-update and an automatic kernel bandwidth search),
 quadratic baselines, a ground-truthed synthetic data generator, evaluation
 metrics, and a file-based CLI.
 """

@@ -75,7 +75,8 @@ def _add_algorithms(sub):
                 "--max-inner-iters",
                 type=int,
                 default=50,
-                help="gradient steps per x-update (default 50; inner tolerance 1e-6 relative)",
+                help="half-quadratic steps per x-update (default 50; inner tolerance 1e-6 "
+                "relative gradient norm)",
             )
 
 
@@ -109,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
         epilog="Solver defaults: rho=1, 50 inner and 1000 outer iterations, "
-        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: inner step "
-        "eta=1/(||A||_2^2/sigma^2 + coupling curvature), inner tolerance 1e-6. "
+        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: each inner "
+        "step minimizes the weighted least-squares majorizer of the x-subproblem "
+        "(unit step), inner tolerance 1e-6. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

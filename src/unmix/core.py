@@ -180,13 +180,14 @@ class SolverConfig:
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
                     residual norms below sqrt(R*T) times these.
-    max_*_iters     outer iteration cap; gradient steps per x-update (integers).
+    max_*_iters     outer iteration cap; half-quadratic steps per x-update
+                    (integers).
     sigma_auto      run the bandwidth tuner instead of using `sigma`.
 
-    The inner descent's step and tolerance are fixed values, not settings: the
-    step is 1 / (||A||_2^2 / sigma^2 + curvature of the coupling), A the mixing
-    operator seen by the inner variables, and the tolerance is 1e-6 relative
-    gradient norm.
+    The x-update's step and tolerance are fixed values, not settings: each
+    step solves the weighted least-squares problem that majorizes the
+    x-subproblem at the current iterate (unit step, Armijo-checked), and the
+    steps stop at 1e-6 relative gradient norm.
     """
 
     sigma: Optional[float] = None

@@ -53,6 +53,17 @@ def _pair(a, b):
     return A, B
 
 
+def _scale(m):
+    """The power of two 2**k with 1 <= m / 2**k < 2 (some power of two for m = 0).
+
+    Both SRE and SAD are scale-invariant. Dividing by this before squaring
+    keeps entries near 1e200 from overflowing, and because the divisor is a
+    power of two the division is exact: in-range inputs give bit-identical
+    results.
+    """
+    return np.ldexp(1.0, np.frexp(m)[1] - 1)
+
+
 def rmse(X_true, X_hat) -> float:
     """Root mean square abundance error: Frobenius distance over sqrt(R*T)."""
     A, B = _pair(X_true, X_hat)
@@ -60,8 +71,14 @@ def rmse(X_true, X_hat) -> float:
 
 
 def sre_db(X_true, X_hat) -> float:
-    """Signal-to-reconstruction error in decibels; +inf when the error is zero."""
+    """Signal-to-reconstruction error in decibels; +inf when the error is zero.
+
+    Both matrices are scaled by a power of two near the largest |X_true| entry
+    first, so entries near the overflow limit of squaring still give a value.
+    """
     A, B = _pair(X_true, X_hat)
+    s = _scale(np.max(np.abs(A), initial=0.0))
+    A, B = A / s, B / s
     signal = float(np.sum(A * A))
     if signal == 0.0:
         raise UndefinedMetric("SRE is undefined for an all-zero reference")
@@ -75,7 +92,9 @@ def sad(Y, Y_hat, exclude_bands=()) -> float:
     """Mean per-pixel spectral angle (radians) over the retained bands.
 
     exclude_bands lists 0-based row indices to drop before the angle is
-    computed; the cosine is clamped to [-1, 1] to absorb rounding.
+    computed; each pixel's pair of spectra is scaled by a common power of two
+    near its largest entry, and the cosine is clamped to [-1, 1] to absorb
+    rounding.
     """
     A, B = _pair(Y, Y_hat)
     L = A.shape[0]
@@ -86,6 +105,8 @@ def sad(Y, Y_hat, exclude_bands=()) -> float:
     if keep.size == 0:
         raise InvalidInput("all bands excluded")
     Ak, Bk = A[keep, :], B[keep, :]
+    s = _scale(np.maximum(np.max(np.abs(Ak), axis=0), np.max(np.abs(Bk), axis=0)))
+    Ak, Bk = Ak / s, Bk / s
     na = np.linalg.norm(Ak, axis=0)
     nb = np.linalg.norm(Bk, axis=0)
     if np.any(na == 0.0) or np.any(nb == 0.0):

@@ -244,6 +244,15 @@ class TestEval:
         assert captured.out == ""
         assert flag in captured.err and "--append" in captured.err
 
+    def test_sad_of_huge_spectra_is_finite(self, tmp_path, capsys):
+        write_matrix(tmp_path / "a.txt", np.array([[1e200, 2e200], [3e200, 1e200]]))
+        write_matrix(tmp_path / "b.txt", np.array([[2e200, 1e200], [3e200, 3e200]]))
+        code = run_cli("eval", "sad", tmp_path / "a.txt", tmp_path / "b.txt")
+        assert code == EXIT_OK
+        name, value = capsys.readouterr().out.split()
+        assert name == "SAD_rad"
+        assert 0.0 < float(value) < math.pi / 2
+
     def test_metric_domain_error_exit_code(self, tmp_path, capsys):
         write_matrix(tmp_path / "z.txt", np.zeros((2, 2)))
         code = run_cli("eval", "sre", tmp_path / "z.txt", tmp_path / "z.txt")

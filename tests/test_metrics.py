@@ -101,6 +101,21 @@ class TestSad:
         assert sad(v, v * 3.0000000000000004) >= 0.0
 
 
+class TestScaleRange:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_scales_leave_sre_and_sad_unchanged(self, rng, scale):
+        A = rng.uniform(0.1, 1.0, size=(6, 5))
+        B = A + 0.05 * rng.standard_normal((6, 5))
+        assert sre_db(scale * A, scale * B) == pytest.approx(sre_db(A, B), rel=1e-12)
+        assert sad(scale * A, scale * B) == pytest.approx(sad(A, B), rel=1e-12)
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        A = rng.uniform(0.1, 1.0, size=(6, 5))
+        B = A + 0.05 * rng.standard_normal((6, 5))
+        assert sre_db(2.0**600 * A, 2.0**600 * B) == sre_db(A, B)
+        assert sad(2.0**-600 * A, 2.0**-600 * B) == sad(A, B)
+
+
 class TestMetricResult:
     def test_evaluate_dispatch(self, rng):
         X = rng.uniform(size=(3, 7))

@@ -22,6 +22,7 @@ from unmix import (
     tune_sigma,
     validate_problem,
 )
+from unmix import solvers
 from unmix.solvers import _initial_sigma, _project_columns_to_simplex
 from unmix.synth import SyntheticSpec
 
@@ -182,6 +183,92 @@ class TestInnerGradientDescent:
         # every accepted step decreased the objective: the accepted subsequence
         # must reach the final evaluation
         assert accepted[-1] == min(values)
+
+
+def scripted_admm(residuals, max_iters):
+    """admm_generic whose x-update returns the scripted primal residuals: the
+    prox maps to zero, so ||x - z|| is the scripted value and the dual residual
+    is zero."""
+    script = iter(residuals)
+    config = SolverConfig(max_outer_iters=max_iters, eps_primal=1e-12, eps_dual=1e-12)
+    init = AdmmState(x=np.ones(1), z=np.ones(1), u=np.zeros(1))
+    return admm_generic(lambda x, z, u: np.array([next(script)]), np.zeros_like, config, init)
+
+
+class TestDivergenceRule:
+    def test_lone_spike_in_a_jittering_decay_does_not_stop(self):
+        # a decaying residual with a 30% bump every fourth iteration, and one
+        # spike to twice the trend at iteration 61: 1.72 times the residual ten
+        # iterations back, but only 1.34 times the window's largest value
+        trend = 1e-3 * 0.985 ** np.arange(1, 101)
+        r = np.where(np.arange(1, 101) % 4 == 0, 1.3 * trend, trend)
+        r[60] = 2.0 * trend[60]
+        _, report = scripted_admm(r, max_iters=100)
+        assert report.termination_reason == Termination.MAX_ITERS
+        assert report.iterations_run == 100
+        np.testing.assert_array_equal(report.primal_residuals, r)
+
+    def test_sustained_growth_ends_primal_increased(self):
+        r = np.concatenate([1e-3 * 0.97 ** np.arange(1, 31), 1e-3 * 2.0 ** np.arange(1, 31)])
+        _, report = scripted_admm(r, max_iters=100)
+        assert report.termination_reason == Termination.PRIMAL_INCREASED
+        assert report.iterations_run < 35
+        assert report.primal_residuals[-1] > report.primal_residuals[-2]
+        assert len(report.dual_residuals) == len(report.objective_trace) == report.iterations_run
+
+
+class TestHalfQuadraticStep:
+    @staticmethod
+    def captured_subproblems(monkeypatch, solve, handle, config):
+        """Run `solve` and return the (grad_fn, objective_fn, x_init, direction)
+        of every x-update it made."""
+        seen = []
+        real = solvers.inner_gradient_descent
+
+        def spy(grad_fn, objective_fn, x_init, eta, max_inner_iters, inner_tol, direction=None):
+            assert eta == 1.0 and direction is not None
+            seen.append((grad_fn, objective_fn, np.array(x_init), direction))
+            return real(grad_fn, objective_fn, x_init, eta, max_inner_iters, inner_tol, direction)
+
+        monkeypatch.setattr(solvers, "inner_gradient_descent", spy)
+        solve(handle, config)
+        return seen
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_unit_step_decreases_by_half_the_slope(self, solve, rng, monkeypatch):
+        h, M, X, Y = random_problem(rng, L=25, R=4, T=12, residual_scale=0.3)
+        config = SolverConfig(sigma=0.4, rho=0.7, lam=1e-3, max_outer_iters=4)
+        seen = self.captured_subproblems(monkeypatch, solve, h, config)
+        assert len(seen) == 4
+        for grad, obj, x_init, direction in seen:
+            for x in (x_init, x_init + 0.2 * rng.standard_normal(x_init.shape)):
+                g = grad(x)
+                d = direction(x, g)
+                slope = float(g @ d)
+                assert slope > 0
+                assert obj(x - d) <= obj(x) - 0.5 * slope + 1e-12 * abs(obj(x))
+                calls = []
+
+                def counted(v):
+                    calls.append(v)
+                    return obj(v)
+
+                out = inner_gradient_descent(grad, counted, x, 1.0, 1, 1e-15, direction)
+                # the start and one trial: the unit step passed Armijo unhalved
+                assert len(calls) == 2
+                np.testing.assert_array_equal(out, x - d)
+
+    def test_newton_direction_solves_a_quadratic_in_one_step(self, rng):
+        B = rng.standard_normal((5, 5))
+        H = B @ B.T + 0.1 * np.eye(5)
+        b = rng.standard_normal(5)
+        out = inner_gradient_descent(
+            lambda x: H @ x - b,
+            lambda x: 0.5 * float(x @ H @ x) - float(b @ x),
+            np.zeros(5), 1.0, 1, 1e-15,
+            direction=lambda x, g: np.linalg.solve(H, g),
+        )
+        np.testing.assert_allclose(out, np.linalg.solve(H, b), rtol=1e-10, atol=1e-12)
 
 
 class TestSimplexProjection:
