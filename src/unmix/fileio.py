@@ -63,21 +63,34 @@ def read_matrix(path) -> np.ndarray:
         raise BadMagic(f"{path}: non-integer shape in header") from None
     if rows < 1 or cols < 1:
         raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
-    values: list[float] = []
+    # numpy converts each token with float(); a line it rejects, or one with
+    # a non-finite value, is walked token by token to name the culprit
+    body = [np.empty(0)]
     for lineno, stripped in entries[1:]:
-        for tok in stripped.split():
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(f"bad value {tok!r}", line=lineno) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value {tok!r}", line=lineno)
-            values.append(v)
-    if len(values) != rows * cols:
+        tokens = stripped.split()
+        try:
+            row = np.array(tokens, dtype=float)
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            row = np.array([_parse_value(tok, lineno) for tok in tokens])
+        body.append(row)
+    values = np.concatenate(body)
+    if values.size != rows * cols:
         raise ShapeMismatch(
-            f"{path}: header promises {rows * cols} values, found {len(values)}"
+            f"{path}: header promises {rows * cols} values, found {values.size}"
         )
-    return np.array(values, dtype=float).reshape(rows, cols)
+    return values.reshape(rows, cols)
+
+
+def _parse_value(tok: str, lineno: int) -> float:
+    try:
+        v = float(tok)
+    except ValueError:
+        raise ParseError(f"bad value {tok!r}", line=lineno) from None
+    if not math.isfinite(v):
+        raise ParseError(f"non-finite value {tok!r}", line=lineno)
+    return v
 
 
 def write_truth_meta(path, truth, spec) -> None:

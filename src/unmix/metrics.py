@@ -5,6 +5,7 @@ spectra."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ def _scale(m):
     return np.ldexp(1.0, np.frexp(m)[1] - 1)
 
 
+def _log2(p) -> int:
+    """k for a power of two p = 2**k."""
+    return math.frexp(p)[1] - 1
+
+
 def rmse(X_true, X_hat) -> float:
     """Root mean square abundance error: Frobenius distance over sqrt(R*T)."""
     A, B = _pair(X_true, X_hat)
@@ -73,19 +79,30 @@ def rmse(X_true, X_hat) -> float:
 def sre_db(X_true, X_hat) -> float:
     """Signal-to-reconstruction error in decibels; +inf when the error is zero.
 
-    Both matrices are scaled by a power of two near the largest |X_true| entry
-    first, so entries near the overflow limit of squaring still give a value.
+    The signal and the error are each scaled by a power of two near their
+    largest entry before squaring, so entries near the overflow limit, or an
+    estimate that dwarfs the reference, still give a value. The two powers of
+    two are applied to the ratio as an exact exponent shift while it is a
+    normal float, and in the log domain beyond.
     """
     A, B = _pair(X_true, X_hat)
     s = _scale(np.max(np.abs(A), initial=0.0))
-    A, B = A / s, B / s
-    signal = float(np.sum(A * A))
+    signal = float(np.sum((A / s) ** 2))
     if signal == 0.0:
         raise UndefinedMetric("SRE is undefined for an all-zero reference")
-    err = float(np.sum((A - B) ** 2))
+    # A common scale for both keeps the difference itself from overflowing
+    c = _scale(max(np.max(np.abs(A)), np.max(np.abs(B))))
+    D = A / c - B / c
+    e = _scale(np.max(np.abs(D)))
+    err = float(np.sum((D / e) ** 2))
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(signal / err)
+    # the SRE ratio is (signal / err) * 2**shift
+    shift = 2 * (_log2(s) - _log2(c) - _log2(e))
+    ratio = math.ldexp(signal / err, shift)
+    if sys.float_info.min <= ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(signal / err) + shift * math.log10(2.0))
 
 
 def sad(Y, Y_hat, exclude_bands=()) -> float:

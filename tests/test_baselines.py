@@ -47,6 +47,21 @@ class TestSolveLS:
             ht = validate_problem(Y[:, [t]], M)
             np.testing.assert_array_equal(solve_ls(ht).data[:, 0], X_full[:, t])
 
+    def test_pixel_separable_bitwise_at_batched_blas_failure_shape(self, rng):
+        # a batched BLAS triangular solve was off by 4.4e-16 at this shape
+        h, M, X, Y = random_problem(rng, L=213, R=16, T=307, residual_scale=0.3)
+        X_full = solve_ls(h).data
+        for t in range(h.T):
+            np.testing.assert_array_equal(solve_ls(validate_problem(Y[:, [t]], M)).data[:, 0], X_full[:, t])
+        for k in (2, 5, 64, 306):
+            np.testing.assert_array_equal(solve_ls(validate_problem(Y[:, :k], M)).data, X_full[:, :k])
+
+    def test_matches_lstsq(self, rng):
+        M = rng.standard_normal((150, 12))
+        Y = rng.standard_normal((150, 40))
+        ref = np.linalg.lstsq(M, Y, rcond=None)[0]
+        np.testing.assert_allclose(solve_ls(validate_problem(Y, M)).data, ref, rtol=1e-12, atol=0)
+
     def test_singular_matrix_raises(self, rng):
         m = rng.uniform(size=(10, 1))
         M = np.hstack([m, m])

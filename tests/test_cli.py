@@ -253,6 +253,15 @@ class TestEval:
         assert name == "SAD_rad"
         assert 0.0 < float(value) < math.pi / 2
 
+    def test_sre_of_a_huge_estimate_is_finite(self, tmp_path, capsys):
+        write_matrix(tmp_path / "a.txt", np.ones((2, 2)))
+        write_matrix(tmp_path / "b.txt", np.full((2, 2), 1e300))
+        code = run_cli("eval", "sre", tmp_path / "a.txt", tmp_path / "b.txt")
+        assert code == EXIT_OK
+        name, value = capsys.readouterr().out.split()
+        assert name == "SRE_dB"
+        assert float(value) == pytest.approx(-6000.0, rel=1e-12)
+
     def test_metric_domain_error_exit_code(self, tmp_path, capsys):
         write_matrix(tmp_path / "z.txt", np.zeros((2, 2)))
         code = run_cli("eval", "sre", tmp_path / "z.txt", tmp_path / "z.txt")

@@ -75,6 +75,25 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    def test_tokens_read_as_float_reads_them(self, tmp_path):
+        tokens = ["1_0", "+.5", "5.", "1E+2", "\u0661\u0662", "\u0663.\u0665", "-0", "4.9e-324"]
+        path = tmp_path / "f.txt"
+        path.write_text(f"UNMIX-MATRIX v1 2 4\n{' '.join(tokens[:4])}\n{' '.join(tokens[4:])}\n", encoding="utf-8")
+        got = read_matrix(path).ravel()
+        assert [v.hex() for v in got.tolist()] == [float(t).hex() for t in tokens]
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("1x", "bad value '1x'"), ("inf", "non-finite value 'inf'"), ("-NaN", "non-finite value '-NaN'")],
+    )
+    def test_bad_token_reports_its_line(self, tmp_path, token, message):
+        path = tmp_path / "b.txt"
+        path.write_text(f"UNMIX-MATRIX v1 3 3\n1 2 3\n# note\n4 5 6\n7 {token} oops\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 5
+        assert str(err.value) == f"line 5: {message}"
+
 
 class TestTruthMeta:
     def test_round_trip(self, tmp_path):

@@ -115,6 +115,11 @@ class TestScaleRange:
         assert sre_db(2.0**600 * A, 2.0**600 * B) == sre_db(A, B)
         assert sad(2.0**-600 * A, 2.0**-600 * B) == sad(A, B)
 
+    def test_sre_of_an_estimate_that_dwarfs_the_reference(self):
+        # the squared error overflows float64; 10 log10(4 / (4 * 1e600)) = -6000 dB
+        assert sre_db(np.ones((2, 2)), np.full((2, 2), 1e300)) == pytest.approx(-6000.0, rel=1e-12)
+        assert sre_db(np.full((2, 2), 1e-300), np.full((2, 2), 1e300)) == pytest.approx(-12000.0, rel=1e-12)
+
 
 class TestMetricResult:
     def test_evaluate_dispatch(self, rng):
