@@ -4,7 +4,10 @@ and l1-regularized nonnegative least squares.
 The constrained problems are solved per pixel by ADMM with a closed-form
 quadratic update: K = 2 M'M + rho I is factored once and inverted once, and
 every iteration applies the R x R inverse to all pixels in one product (the
-per-pixel solves are independent).
+per-pixel solves are independent). The loop re-validates nothing per
+iteration: it writes into preallocated buffers, the proximal maps work in
+place, and the iterates are checked for non-finite entries only when a
+residual norm is not finite.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from .core import (
     AbundanceMatrix,
     InvalidInput,
     MaxItersWarning,
+    NonFiniteIterate,
     ProblemHandle,
     SingularNormalEquations,
     _project_columns_to_simplex,
     project_nonnegative,
-    soft_threshold,
 )
 
 # Residual tolerance (per coordinate) and iteration cap of the baseline ADMM
@@ -72,10 +75,11 @@ def _admm(
 ):
     """Per-pixel ADMM for min ||y - M x||^2 + g(z) subject to x = z.
 
-    prox(v, rho) is the proximal map of g / rho; with sum_to_one the
-    quadratic update is corrected onto the hyperplane 1'x = 1 through one KKT
-    correction of the unconstrained solve. Returns the last (X, Z) iterates
-    and whether the residuals fell below tolerance before the cap.
+    prox(v, rho) overwrites v with the proximal map of g / rho at v; with
+    sum_to_one the quadratic update is corrected onto the hyperplane 1'x = 1
+    through one KKT correction of the unconstrained solve. Returns the last
+    (X, Z) iterates and whether the residuals fell below tolerance before the
+    cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
@@ -100,19 +104,36 @@ def _admm(
 
     Z = project_nonnegative(solve_ls(handle).data)
     U = np.zeros((R, T))
-    X = Z
+    # Each iteration writes into these buffers instead of allocating: X, the
+    # prox input V = X - U (the prox overwrites it with the next Z, and the
+    # previous Z's buffer takes its place), and S for Z + U and then for the
+    # differences whose norms are the residuals.
+    X, V, S = np.empty((R, T)), np.empty((R, T)), np.empty((R, T))
+    s = S.ravel()
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
     for _ in range(_BASELINE_MAX_ITERS):
-        X = Kinv_MtY2 + rho_Kinv @ (Z + U)
+        np.add(Z, U, out=S)
+        np.matmul(rho_Kinv, S, out=X)
+        X += Kinv_MtY2
         if sum_to_one:
             nu = (X.sum(axis=0) - 1.0) / qsum
-            X = X - np.outer(q, nu)
-        Z_new = prox(X - U, rho)
-        U = U - (X - Z_new)
-        primal = np.linalg.norm(X - Z_new)
-        dual = rho * np.linalg.norm(Z_new - Z)
-        Z = Z_new
-        if primal <= eps_stop and dual <= eps_stop:
+            X -= np.outer(q, nu)
+        np.subtract(X, U, out=V)
+        prox(V, rho)
+        # the residual norms are sqrt(s . s) of the raveled differences,
+        # which is what np.linalg.norm computes
+        np.subtract(X, V, out=S)
+        U -= S
+        primal = np.sqrt(s.dot(s))
+        np.subtract(V, Z, out=S)
+        dual = rho * np.sqrt(s.dot(s))
+        Z, V = V, Z
+        if not (np.isfinite(primal) and np.isfinite(dual)):
+            # a non-finite entry of X or Z makes a residual non-finite, but
+            # so does the norm of a finite iterate far from the origin
+            if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+                raise NonFiniteIterate("baseline ADMM produced a non-finite iterate")
+        elif primal <= eps_stop and dual <= eps_stop:
             return X, Z, True
     return X, Z, False
 
@@ -127,11 +148,19 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     the iteration cap that residual can exceed the feasibility tolerance, so
     the iterate is projected column-wise onto the simplex instead.
     """
-    X, _, converged = _admm(handle, lambda v, rho: np.maximum(v, 0.0), sum_to_one=True)
+    X, _, converged = _admm(handle, lambda v, rho: np.maximum(v, 0.0, out=v), sum_to_one=True)
     if not converged:
         warnings.warn("fully-constrained solve hit its iteration cap", MaxItersWarning, stacklevel=2)
         X = _project_columns_to_simplex(X)
     return AbundanceMatrix(X, tag="fully_constrained")
+
+
+def _shrink_nonnegative(v: np.ndarray, b: float) -> np.ndarray:
+    """Overwrite v with max(v - b, 0), which for a threshold b >= 0 equals
+    max(soft_threshold(v, b), 0) bit for bit, zeros' signs included, without
+    the sign and magnitude passes; returns v."""
+    np.subtract(v, b, out=v)
+    return np.maximum(v, 0.0, out=v)
 
 
 def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
@@ -144,7 +173,7 @@ def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
     if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
         raise InvalidInput("lam must be a nonnegative finite scalar")
     _, Z, converged = _admm(
-        handle, lambda v, rho: np.maximum(soft_threshold(v, lam / rho), 0.0), sum_to_one=False
+        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False
     )
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)

@@ -45,42 +45,51 @@ def write_matrix(path, matrix) -> None:
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    # (line number, stripped text) of the lines that are neither blank nor `#` comments
-    entries = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            entries.append((lineno, stripped))
-    if not entries:
-        raise BadMagic(f"{path}: empty file")
-    parts = entries[0][1].split()
-    if len(parts) != 4 or " ".join(parts[:2]) != MAGIC:
-        raise BadMagic(f"{path}: expected header '{MAGIC} <rows> <cols>'")
-    try:
-        rows, cols = int(parts[2]), int(parts[3])
-    except ValueError:
-        raise BadMagic(f"{path}: non-integer shape in header") from None
-    if rows < 1 or cols < 1:
-        raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
-    # numpy converts each token with float(); a line it rejects, or one with
-    # a non-finite value, is walked token by token to name the culprit
-    body = [np.empty(0)]
-    for lineno, stripped in entries[1:]:
-        tokens = stripped.split()
+        entries = _content_lines(fh)
+        first = next(entries, None)
+        if first is None:
+            raise BadMagic(f"{path}: empty file")
+        parts = first[1].split()
+        if len(parts) != 4 or " ".join(parts[:2]) != MAGIC:
+            raise BadMagic(f"{path}: expected header '{MAGIC} <rows> <cols>'")
         try:
-            row = np.array(tokens, dtype=float)
+            rows, cols = int(parts[2]), int(parts[3])
         except ValueError:
-            row = None
-        if row is None or not np.isfinite(row).all():
-            row = np.array([_parse_value(tok, lineno) for tok in tokens])
-        body.append(row)
+            raise BadMagic(f"{path}: non-integer shape in header") from None
+        if rows < 1 or cols < 1:
+            raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
+        # numpy converts each token with float(); a line it rejects, or one
+        # with a non-finite value, is walked token by token to name the culprit
+        body = [np.empty(0)]
+        for lineno, stripped in entries:
+            tokens = stripped.split()
+            try:
+                row = np.array(tokens, dtype=float)
+            except ValueError:
+                row = None
+            if row is None or not np.isfinite(row).all():
+                row = np.array([_parse_value(tok, lineno) for tok in tokens])
+            body.append(row)
     values = np.concatenate(body)
     if values.size != rows * cols:
         raise ShapeMismatch(
             f"{path}: header promises {rows * cols} values, found {values.size}"
         )
     return values.reshape(rows, cols)
+
+
+def _content_lines(fh):
+    """(line number, stripped text) of the file's lines that are neither blank
+    nor `#` comments, read one line at a time. Lines are numbered as
+    str.splitlines() splits the text, so form feeds and the other Unicode line
+    boundaries start a new line, as the newline characters do."""
+    lineno = 0
+    for physical in fh:
+        for line in physical.splitlines():
+            lineno += 1
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, stripped
 
 
 def _parse_value(tok: str, lineno: int) -> float:

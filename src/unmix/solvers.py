@@ -14,7 +14,9 @@ Hessian is, per pixel, the small SPD matrix P = A' W A / sigma^2 + rho C (A the
 mixing operator seen by the variables, W the band weights at the iterate, C the
 curvature of the coupling term). The step x - P^-1 g minimizes that quadratic,
 so it lowers the objective by at least g' P^-1 g / 2; one solve of P with all
-T pixels as right-hand sides makes one step. The steps run in
+T pixels as right-hand sides makes one step. W comes from the kernel pass that
+evaluates the gradient at the same iterate, so a step costs two kernel passes:
+that gradient and the objective at the trial point. The steps run in
 inner_gradient_descent with unit length, whose Armijo test accepts them without
 halving.
 
@@ -49,7 +51,6 @@ from .core import (
     soft_threshold,
 )
 from .correntropy import (
-    band_weights,
     gradient_full,
     gradient_reduced_f1,
     objective_C,
@@ -282,21 +283,36 @@ def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
     return v.reshape(T, R).T
 
 
-def _half_quadratic(A: np.ndarray, coupling: np.ndarray, sigma: float, weights_at):
-    """The half-quadratic direction d = P^-1 g, P = A' W A / sigma^2 + coupling.
+class _HalfQuadratic:
+    """The kernel term's gradient and the half-quadratic direction d = P^-1 g,
+    P = A' W A / sigma^2 + coupling.
 
     A is the mixing operator seen by the inner variables, coupling the Hessian
-    of the quadratic coupling term per pixel, and weights_at(x) the band
-    weights W at the stacked iterate x. P is shared by every pixel, so one
-    solve with all pixels as right-hand sides serves the whole cube.
+    of the quadratic coupling term per pixel, and kernel_gradient(x) the
+    kernel term's gradient at the stacked iterate x together with the band
+    weights W of the same kernel pass. gradient(x) keeps those weights with a
+    copy of x, so direction(x, g) at the point just differentiated builds P
+    without another pass over the kernel; at any other point it evaluates the
+    kernel there first. P is shared by every pixel, so one solve with all
+    pixels as right-hand sides serves the whole cube.
     """
-    rows = A.shape[1]
 
-    def direction(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        P = (A.T * weights_at(x)) @ A / sigma**2 + coupling
-        return np.linalg.solve(P, g.reshape(-1, rows).T).T.ravel()
+    def __init__(self, A: np.ndarray, coupling: np.ndarray, sigma: float, kernel_gradient):
+        self.A, self.coupling, self.sigma = A, coupling, sigma
+        self.kernel_gradient = kernel_gradient
+        self.x = None  # the iterate of the last kernel pass
+        self.weights = None  # the band weights at self.x
 
-    return direction
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        G, self.weights = self.kernel_gradient(x)
+        self.x = x.copy()
+        return G
+
+    def direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if self.x is None or not np.array_equal(x, self.x):
+            self.gradient(x)
+        P = (self.A.T * self.weights) @ self.A / self.sigma**2 + self.coupling
+        return np.linalg.solve(P, g.reshape(-1, self.A.shape[1]).T).T.ravel()
 
 
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -335,11 +351,13 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
     Mbar = handle.M[:, :-1] - handle.M[:, -1][:, np.newaxis]
     # the coupling rho ||E xr + e_R - v||^2 / 2 has Hessian rho E'E = rho (I + 11')
-    direction = _half_quadratic(
+    hq = _HalfQuadratic(
         Mbar,
         config.rho * (np.eye(R - 1) + 1.0),
         sigma,
-        lambda xr_vec: band_weights(handle, reconstruct_full(xr_vec.reshape(T, R - 1).T), sigma),
+        lambda xr_vec: gradient_reduced_f1(
+            handle, xr_vec.reshape(T, R - 1).T, sigma, return_weights=True
+        ),
     )
 
     def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -356,14 +374,14 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 
         def grad(xr_vec: np.ndarray) -> np.ndarray:
             Xr = xr_vec.reshape(T, R - 1).T
-            G = gradient_reduced_f1(handle, Xr, sigma)
+            G = hq.gradient(xr_vec)
             D = reconstruct_full(Xr) - Zk - Uk
             # chain rule through the eliminated row: free rows minus last row
             G = G + config.rho * (D[:-1, :] - D[-1:, :])
             return G.T.ravel()
 
         xr = inner_gradient_descent(
-            grad, obj, xr0.T.ravel(), 1.0, config.max_inner_iters, _INNER_TOL, direction
+            grad, obj, xr0.T.ravel(), 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
         )
         return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
 
@@ -376,11 +394,11 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     R, T = handle.R, handle.T
-    direction = _half_quadratic(
+    hq = _HalfQuadratic(
         handle.M,
         config.rho * np.eye(R),
         sigma,
-        lambda x_vec: band_weights(handle, _mat(x_vec, R, T), sigma),
+        lambda x_vec: gradient_full(handle, _mat(x_vec, R, T), sigma, return_weights=True),
     )
     thresh = config.lam / config.rho
 
@@ -394,11 +412,10 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
             )
 
         def grad(x_vec: np.ndarray) -> np.ndarray:
-            G = gradient_full(handle, _mat(x_vec, R, T), sigma)
-            return _vec(G) + config.rho * (x_vec - v)
+            return _vec(hq.gradient(x_vec)) + config.rho * (x_vec - v)
 
         return inner_gradient_descent(
-            grad, obj, x_prev, 1.0, config.max_inner_iters, _INNER_TOL, direction
+            grad, obj, x_prev, 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
         )
 
     def g_prox(v: np.ndarray) -> np.ndarray:
@@ -537,7 +554,8 @@ def cusal_fc(
     The x-update minimizes the reduced objective plus the scaled quadratic
     coupling by warm-started half-quadratic steps, each one solve of the
     (R-1) x (R-1) matrix Mbar' W Mbar / sigma^2 + rho (I + 11') (Mbar the
-    other endmembers minus the last one, W the band weights), reconstructs the
+    other endmembers minus the last one, W the band weights of the reduced
+    gradient's kernel pass at the iterate), reconstructs the
     full vector (unit column sums by construction), projects for z, and
     updates the dual.
     Returns the feasible solution (nonnegative, exact unit column sums) and the
@@ -558,8 +576,8 @@ def cusal_sp(
 
     The x-update takes warm-started half-quadratic steps on the full variables,
     each one solve of the R x R matrix M' W M / sigma^2 + rho I (W the band
-    weights); the z-update soft-thresholds by lam/rho and projects onto the
-    first orthant.
+    weights of the gradient's kernel pass at the iterate); the z-update
+    soft-thresholds by lam/rho and projects onto the first orthant.
     Returns the nonnegative z iterate and the run report. With
     config.sigma_auto the bandwidth tuner drives the solve.
     """

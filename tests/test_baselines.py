@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from unmix import (
+    AbundanceMatrix,
     MaxItersWarning,
+    NonFiniteIterate,
     SingularNormalEquations,
     SyntheticSpec,
     baselines,
@@ -11,6 +13,7 @@ from unmix import (
     rmse,
     solve_fcls,
     solve_ls,
+    soft_threshold,
     solve_sunsal_sparse,
     validate_problem,
 )
@@ -236,3 +239,55 @@ def test_cusal_large_sigma_consistency_small(rng):
     assert rmse(solve_fcls(h), X_fc) < 1e-3
     X_sp, _ = cusal_sp(h, SolverConfig(sigma=sigma, lam=0.0))
     assert rmse(solve_sunsal_sparse(h, 0.0), X_sp) < 1e-3
+
+
+@pytest.mark.parametrize("b", [0.0, 5e-324, 0.25, 1.0])
+def test_sparse_prox_equals_the_soft_threshold_form_bitwise(b):
+    # exact +-b, signed zeros and subnormals among random entries, at sizes
+    # that exercise numpy's vector loops and their scalar tails
+    rng = np.random.default_rng(7)
+    special = np.array([b, -b, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.nextafter(b, 2.0)])
+    for n in (1, 7, 64, 1001):
+        v = rng.standard_normal(n) * rng.choice([1e-310, 1e-3, 1.0, 1e3], size=n)
+        v[rng.integers(0, n, size=min(n, 40))] = rng.choice(special, size=min(n, 40))
+        expected = np.maximum(soft_threshold(v, b), 0.0)
+        got = baselines._shrink_nonnegative(v.copy(), b)
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite():
+    # the residual norms overflow to inf while every iterate stays finite
+    rng = np.random.default_rng(0)
+    M = np.abs(rng.standard_normal((20, 3)))
+    X = rng.dirichlet(np.ones(3), size=5).T
+    h = validate_problem(M @ X * 1e306, M)
+    with np.errstate(over="ignore"):
+        out = solve_sunsal_sparse(h, 1e-3).data
+    assert np.isfinite(out).all()
+    assert out.min() >= 0.0
+
+
+def test_fcls_non_finite_iterate_raises(monkeypatch, rng):
+    # a warm start at 1e308 overflows the sum-to-one correction to inf
+    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
+    monkeypatch.setattr(
+        baselines, "solve_ls", lambda handle: AbundanceMatrix(np.full((handle.R, handle.T), 1e308))
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
+        solve_fcls(h)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sparse_non_finite_iterate_raises(monkeypatch, rng, bad):
+    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
+    real = baselines._shrink_nonnegative
+
+    def prox(v, b):
+        real(v, b)
+        v[1, 2] = bad
+        return v
+
+    monkeypatch.setattr(baselines, "_shrink_nonnegative", prox)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
+        solve_sunsal_sparse(h, 1e-3)

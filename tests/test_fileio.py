@@ -94,6 +94,19 @@ class TestMatrixFormat:
         assert err.value.line == 5
         assert str(err.value) == f"line 5: {message}"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbers_count_every_line_boundary(self, tmp_path, newline):
+        # a form feed, a file separator and U+2028 each end a line, as the
+        # newline does, whether or not the file is read line by line
+        text = newline.join(["UNMIX-MATRIX v1 2 2", "# note\x0c1 2", "3\x1c# c\u2028x", ""])
+        path = tmp_path / "s.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == "line 6: bad value 'x'"
+        path.write_bytes(text.replace("x", "4").encode("utf-8"))
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestTruthMeta:
     def test_round_trip(self, tmp_path):

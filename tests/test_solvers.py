@@ -258,6 +258,58 @@ class TestHalfQuadraticStep:
                 assert len(calls) == 2
                 np.testing.assert_array_equal(out, x - d)
 
+    @pytest.mark.parametrize(
+        "solve, kernel_gradient", [(cusal_fc, "gradient_reduced_f1"), (cusal_sp, "gradient_full")],
+        ids=["fc", "sp"],
+    )
+    def test_direction_uses_the_band_weights_at_its_own_point(
+        self, solve, kernel_gradient, rng, monkeypatch
+    ):
+        from unmix import band_weights
+        from unmix.correntropy import reconstruct_full
+
+        h, M, X, Y = random_problem(rng, L=25, R=4, T=12, residual_scale=0.3)
+        sigma = 0.4
+        config = SolverConfig(sigma=sigma, rho=0.7, lam=1e-3, max_outer_iters=3)
+        seen = self.captured_subproblems(monkeypatch, solve, h, config)
+        passes = []
+        real = getattr(solvers, kernel_gradient)
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, kernel_gradient, counted)
+        for grad, obj, x_init, direction in seen:
+            hq = direction.__self__
+            for x in (x_init, x_init + 0.2 * rng.standard_normal(x_init.shape)):
+                if solve is cusal_fc:
+                    X_full = reconstruct_full(x.reshape(h.T, h.R - 1).T)
+                else:
+                    X_full = x.reshape(h.T, h.R).T
+                expected = band_weights(h, X_full, sigma)
+                # after a gradient at x, the direction reuses that kernel pass
+                g = grad(x)
+                direction(x, g)
+                assert len(passes) == 1
+                reused = hq.weights
+                # at a point with no gradient yet, it evaluates the kernel there
+                direction(x + 0.1, g)
+                assert len(passes) == 2
+                direction(x, g)
+                assert len(passes) == 3
+                np.testing.assert_array_equal(hq.x, x)
+                for weights in (reused, hq.weights):
+                    if solve is cusal_fc:
+                        # the reduced fit rounds differently from M times the
+                        # full matrix; the error sits in the exponent, so it is
+                        # bounded normwise, not entry by entry for the
+                        # smallest weights
+                        assert np.max(np.abs(weights - expected)) <= 1e-15 * np.max(expected)
+                    else:
+                        np.testing.assert_array_equal(weights, expected)
+                passes.clear()
+
     def test_newton_direction_solves_a_quadratic_in_one_step(self, rng):
         B = rng.standard_normal((5, 5))
         H = B @ B.T + 0.1 * np.eye(5)
