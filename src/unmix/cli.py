@@ -152,15 +152,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _write_report(path, report, handle=None, X=None) -> None:
+def _write_report(path, report, handle, X) -> None:
+    """The report file: header lines, then the per-iteration TSV. A tuned solve
+    takes its reconstruction ratio from the accepted attempt and lists every
+    attempt as `# tuner_attempt <sigma> <outcome> <ratio>` (ratio nan for a
+    diverged attempt, which is not checked)."""
+    attempts = () if report.tuning is None else report.tuning.attempts
+    ratio = attempts[-1].ratio if attempts else solvers.reconstruction_ratio(handle, X)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# termination_reason {report.termination_reason.value}\n")
         fh.write(f"# iterations_run {report.iterations_run}\n")
         if report.sigma_used is not None:
             fh.write(f"# sigma_used {fileio.format_float(report.sigma_used)}\n")
-        if handle is not None and X is not None:
-            ratio = solvers.reconstruction_ratio(handle, X)
-            fh.write(f"# reconstruction_ratio {fileio.format_float(ratio)}\n")
+        fh.write(f"# reconstruction_ratio {fileio.format_float(ratio)}\n")
+        for attempt in attempts:
+            shown = float("nan") if attempt.ratio is None else attempt.ratio
+            fh.write(
+                f"# tuner_attempt {fileio.format_float(attempt.sigma)} {attempt.outcome.value}"
+                f" {fileio.format_float(shown)}\n"
+            )
         fh.write("iteration\tprimal_residual\tdual_residual\tobjective\n")
         for i in range(report.iterations_run):
             fh.write(

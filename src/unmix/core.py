@@ -227,7 +227,14 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Per-iteration diagnostics of one ADMM run."""
+    """Per-iteration diagnostics of one ADMM run.
+
+    objective_trace holds the kernel term at each iteration's x, read from the
+    x-update's last kernel pass: objective_C bit for bit for cusal_sp; for
+    cusal_fc the kernel term of the reduced fit, equal to objective_C at the
+    full x to rounding. tuning is the bandwidth search's TuningTrace when the
+    run is the accepted attempt of a sigma_auto solve, None otherwise.
+    """
 
     iterations_run: int
     primal_residuals: tuple
@@ -235,6 +242,7 @@ class SolverReport:
     objective_trace: tuple
     termination_reason: Termination
     sigma_used: Optional[float] = None
+    tuning: Optional[object] = None
 
     def __post_init__(self):
         n = self.iterations_run

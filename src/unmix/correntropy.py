@@ -5,13 +5,18 @@ sparsity-promoting solver) and the reduced matrix with the last endmember row
 eliminated through the sum-to-one constraint (used by the fully-constrained
 solver).
 
-The objectives, gradients and residual cache go through one kernel: the
+The objectives, gradients and residual cache go through one kernel pass: the
 residual of the fit, its per-band energies and the Gaussian band weights. The
-layer computes in float64, so its results are the same on every platform. All reductions go through numpy's
-fixed-tree pairwise summation: for a given array shape, repeated evaluations
-are bit-identical. A gradient can also return the band weights of its own
-kernel pass (return_weights=True); the solvers' half-quadratic steps build
-their matrix from them instead of evaluating the kernel again.
+layer computes in float64, so its results are the same on every platform. All
+reductions go through numpy's fixed-tree pairwise summation: for a given array
+shape, repeated evaluations are bit-identical.
+
+An objective can hand back its pass as a ResidualCache (return_cache=True),
+and a gradient given that cache only forms A'(w * eps) / sigma^2, bit for bit
+the gradient of a call that makes its own pass. Both can build the residual in
+a caller's (2, L, T) workspace (out=) instead of new L x T arrays. The solvers
+use both: one pass per point serves the objective, the gradient, the
+half-quadratic matrix and the report's trace.
 """
 
 from __future__ import annotations
@@ -80,38 +85,42 @@ def _check_sigma(sigma: float) -> float:
     return float(sigma)
 
 
-def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, keep_residual: bool = True):
+def _operator(handle: ProblemHandle, reduced: bool) -> np.ndarray:
+    """The mixing operator the variables see: M, or Mbar = M[:, :-1] - m_R
+    (m_R the last endmember) for the reduced variables."""
+    return handle.M[:, :-1] - handle.M[:, -1:] if reduced else handle.M
+
+
+def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
     """Operator A seen by the variables, residual Y - (fit) and band weights at X.
 
-    The reduced fit is Mbar Xr + m_R with Mbar = M[:, :-1] - m_R (m_R the last
-    endmember), which equals M times the reconstructed full matrix. The
-    residual is built in the array that holds the fit; without keep_residual
-    it is squared in place too and None is returned for it, so an objective
-    allocates a single L x T array.
+    The reduced fit is Mbar Xr + m_R, which equals M times the reconstructed
+    full matrix. The residual is built in out[0] and its squares in out[1]; out
+    is a float64 (2, L, T) workspace, a new one when None.
     """
     arr = _check_shapes(handle, X, reduced)
     sigma = _check_sigma(sigma)
+    if out is None:
+        out = np.empty((2, handle.L, handle.T))
+    elif out.shape != (2, handle.L, handle.T) or out.dtype != np.float64:
+        raise DimensionMismatch(f"the workspace must be float64 of shape {(2, handle.L, handle.T)}")
+    A = _operator(handle, reduced)
+    eps = np.matmul(A, arr, out=out[0])
     if reduced:
-        m_last = handle.M[:, -1:]
-        A = handle.M[:, :-1] - m_last
-        eps = A @ arr
-        eps += m_last
-    else:
-        A = handle.M
-        eps = A @ arr
+        eps += handle.M[:, -1:]
     np.subtract(handle.Y, eps, out=eps)
-    sq = eps * eps if keep_residual else np.multiply(eps, eps, out=eps)
+    sq = np.multiply(eps, eps, out=out[1])
     # Row-wise residual energy (pairwise sum along the contiguous axis), then
     # the Gaussian factor; underflow to 0.0 is the intended saturation for
     # bands far outside the kernel width.
     with np.errstate(under="ignore"):
         w = np.exp(-np.sum(sq, axis=1) / (2.0 * sigma**2))
-    return A, (eps if keep_residual else None), w
+    return A, eps, w
 
 
 def residual_cache(handle: ProblemHandle, X, sigma: float) -> ResidualCache:
     """Residuals and band weights at X; recomputed fresh on every call."""
-    _, eps, w = _kernel(handle, X, sigma, reduced=False)
+    _, eps, w = _kernel(handle, X, sigma, False, None)
     return ResidualCache(eps=eps, band_weights=w)
 
 
@@ -120,37 +129,63 @@ def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
     return residual_cache(handle, X, sigma).band_weights
 
 
-def _gradient(handle: ProblemHandle, X, sigma: float, reduced: bool, return_weights: bool):
-    A, eps, w = _kernel(handle, X, sigma, reduced)
-    G = -(1.0 / float(sigma) ** 2) * (A.T @ np.multiply(w[:, np.newaxis], eps, out=eps))
-    return (G, w) if return_weights else G
+def _objective(handle: ProblemHandle, X, sigma: float, reduced: bool, return_cache: bool, out):
+    _, eps, w = _kernel(handle, X, sigma, reduced, out)
+    value = -float(np.sum(w))
+    return (value, ResidualCache(eps=eps, band_weights=w)) if return_cache else value
 
 
-def objective_C(handle: ProblemHandle, X, sigma: float) -> float:
-    """Negative correntropy of the fit M X to Y; always in [-L, 0)."""
-    return -float(np.sum(_kernel(handle, X, sigma, False, keep_residual=False)[2]))
+def _gradient(handle: ProblemHandle, X, sigma: float, reduced: bool, cache, out):
+    if cache is None:
+        A, eps, w = _kernel(handle, X, sigma, reduced, out)
+        weighted = np.multiply(w[:, np.newaxis], eps, out=eps)
+    else:
+        _check_shapes(handle, X, reduced)
+        _check_sigma(sigma)
+        if cache.eps.shape != (handle.L, handle.T) or cache.band_weights.shape != (handle.L,):
+            raise DimensionMismatch("the residual cache does not fit this problem")
+        A = _operator(handle, reduced)
+        weighted = np.multiply(
+            cache.band_weights[:, np.newaxis], cache.eps, out=None if out is None else out[1]
+        )
+    return -(1.0 / float(sigma) ** 2) * (A.T @ weighted)
 
 
-def gradient_full(handle: ProblemHandle, X, sigma: float, *, return_weights: bool = False):
+def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = False, out=None):
+    """Negative correntropy of the fit M X to Y; always in [-L, 0).
+
+    With return_cache, returns the pair (value, ResidualCache at X): the kernel
+    pass that gave the value, which gradient_full takes instead of a pass of
+    its own. out is an optional float64 (2, L, T) workspace: the residual is
+    built in out[0] (then the cache's eps, valid until out is used again) and
+    its squares in out[1], so the call allocates no L x T array.
+    """
+    return _objective(handle, X, sigma, False, return_cache, out)
+
+
+def gradient_full(handle: ProblemHandle, X, sigma: float, *, cache=None, out=None):
     """Exact gradient of objective_C with respect to the full R x T matrix.
 
-    With return_weights, returns the pair (gradient, band weights at X); the
-    weights are the ones band_weights(handle, X, sigma) returns, bit for bit.
+    cache is the ResidualCache of objective_C(handle, X, sigma,
+    return_cache=True) at this X; with it the gradient only forms
+    -M'(w * eps) / sigma^2 from the cached residual and weights, bit for bit
+    the value of a call without it. out is a workspace as in objective_C;
+    with a cache only out[1] is written, so the cache stays valid.
     """
-    return _gradient(handle, X, sigma, False, return_weights)
+    return _gradient(handle, X, sigma, False, cache, out)
 
 
-def objective_reduced_f1(handle: ProblemHandle, Xr, sigma: float) -> float:
+def objective_reduced_f1(
+    handle: ProblemHandle, Xr, sigma: float, *, return_cache: bool = False, out=None
+):
     """Negative correntropy in the reduced variables; equals objective_C at the
-    reconstructed full matrix."""
-    return -float(np.sum(_kernel(handle, Xr, sigma, True, keep_residual=False)[2]))
+    reconstructed full matrix to rounding (the reduced fit Mbar Xr + m_R rounds
+    differently from M times that matrix). return_cache and out as in
+    objective_C; the cache holds the residual of the reduced fit."""
+    return _objective(handle, Xr, sigma, True, return_cache, out)
 
 
-def gradient_reduced_f1(handle: ProblemHandle, Xr, sigma: float, *, return_weights: bool = False):
-    """Exact gradient of objective_reduced_f1, shape (R-1) x T.
-
-    With return_weights, returns the pair (gradient, band weights at Xr). The
-    reduced fit rounds differently from M times the reconstructed matrix, so
-    the weights equal band_weights at that matrix to rounding, not bit for bit.
-    """
-    return _gradient(handle, Xr, sigma, True, return_weights)
+def gradient_reduced_f1(handle: ProblemHandle, Xr, sigma: float, *, cache=None, out=None):
+    """Exact gradient of objective_reduced_f1, shape (R-1) x T; cache (from
+    objective_reduced_f1 at this Xr) and out as in gradient_full."""
+    return _gradient(handle, Xr, sigma, True, cache, out)

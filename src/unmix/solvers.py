@@ -14,11 +14,19 @@ Hessian is, per pixel, the small SPD matrix P = A' W A / sigma^2 + rho C (A the
 mixing operator seen by the variables, W the band weights at the iterate, C the
 curvature of the coupling term). The step x - P^-1 g minimizes that quadratic,
 so it lowers the objective by at least g' P^-1 g / 2; one solve of P with all
-T pixels as right-hand sides makes one step. W comes from the kernel pass that
-evaluates the gradient at the same iterate, so a step costs two kernel passes:
-that gradient and the objective at the trial point. The steps run in
+T pixels as right-hand sides makes one step. The steps run in
 inner_gradient_descent with unit length, whose Armijo test accepts them without
 halving.
+
+A step costs one kernel pass (residual, band energies, band weights): the
+objective's at the trial point. The run keeps the last pass with its point, so
+the gradient there, W, the next x-update's start value and the report's
+objective trace at the x-update's result all read it; a run evaluates the
+kernel once at its warm start and once per trial point. The passes build their
+residual and its squares in a workspace of two L x T arrays that the run owns,
+so they allocate no L x T array. The fully-constrained trace is therefore the
+kernel term of the reduced fit, equal to objective_C at the full iterate to
+rounding; the sparsity-promoting trace is objective_C bit for bit.
 
 Stacked vectors follow the pixel-major convention x = [x_1' ... x_T']', i.e.
 `vec = X.T.ravel()` for an R x T abundance matrix.
@@ -29,7 +37,7 @@ mutable state, so distinct instances on distinct problems can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -284,32 +292,51 @@ def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
 
 
 class _HalfQuadratic:
-    """The kernel term's gradient and the half-quadratic direction d = P^-1 g,
-    P = A' W A / sigma^2 + coupling.
+    """The kernel term of one run's x-updates: its value, its gradient and the
+    half-quadratic direction d = P^-1 g, P = A' W A / sigma^2 + coupling.
 
-    A is the mixing operator seen by the inner variables, coupling the Hessian
-    of the quadratic coupling term per pixel, and kernel_gradient(x) the
-    kernel term's gradient at the stacked iterate x together with the band
-    weights W of the same kernel pass. gradient(x) keeps those weights with a
-    copy of x, so direction(x, g) at the point just differentiated builds P
-    without another pass over the kernel; at any other point it evaluates the
-    kernel there first. P is shared by every pixel, so one solve with all
-    pixels as right-hand sides serves the whole cube.
+    A is the mixing operator seen by the inner variables and coupling the
+    Hessian of the quadratic coupling term per pixel. kernel_objective(x, out)
+    returns the kernel term at the stacked inner iterate x with the
+    ResidualCache of its kernel pass, and kernel_gradient(x, cache, out) the
+    gradient from that cache; out is the run's (2, L, T) workspace, which every
+    pass builds its residual in. The last pass is kept with a copy of its point
+    (self.x; self.weights are its band weights) across the run's x-updates, so
+    the value, the gradient and the direction at that point, and the trace at
+    the x-update's result, read it; any other point gets a pass of its own. P
+    is shared by every pixel, so one solve with all pixels as right-hand sides
+    serves the whole cube.
     """
 
-    def __init__(self, A: np.ndarray, coupling: np.ndarray, sigma: float, kernel_gradient):
+    def __init__(
+        self, handle: ProblemHandle, A, coupling, sigma: float, kernel_objective, kernel_gradient
+    ):
         self.A, self.coupling, self.sigma = A, coupling, sigma
-        self.kernel_gradient = kernel_gradient
-        self.x = None  # the iterate of the last kernel pass
-        self.weights = None  # the band weights at self.x
+        self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
+        self.work = np.empty((2, handle.L, handle.T))
+        self.x = None  # the point of the last kernel pass
+        self.term = None  # the kernel term at self.x
+        self.cache = None  # the ResidualCache at self.x
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.cache.band_weights
+
+    def _seen(self, x: np.ndarray) -> bool:
+        return self.x is not None and np.array_equal(x, self.x)
+
+    def value(self, x: np.ndarray) -> float:
+        if not self._seen(x):
+            self.term, self.cache = self.kernel_objective(x, self.work)
+            self.x = x.copy()
+        return self.term
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        G, self.weights = self.kernel_gradient(x)
-        self.x = x.copy()
-        return G
+        self.value(x)
+        return self.kernel_gradient(x, self.cache, self.work)
 
     def direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if self.x is None or not np.array_equal(x, self.x):
+        if not self._seen(x):
             self.gradient(x)
         P = (self.A.T * self.weights) @ self.A / self.sigma**2 + self.coupling
         return np.linalg.solve(P, g.reshape(-1, self.A.shape[1]).T).T.ravel()
@@ -326,12 +353,11 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_admm(
-    handle: ProblemHandle, config: SolverConfig, sigma: float, f_solver, g_prox, X0, on_iteration
-):
+def _run_admm(config: SolverConfig, sigma: float, f_solver, g_prox, X0, on_iteration, kernel_value):
     """The ADMM run both problems share: x and z start at the warm start X0, the
-    scaled dual at zero, and the report traces objective_C at sigma. Returns the
-    final state and the report."""
+    scaled dual at zero, and the report traces kernel_value(x) at every new x,
+    the kernel term the x-update's last pass computed there. Returns the final
+    state and the report."""
     x0 = _vec(np.asarray(X0, dtype=float))
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
@@ -339,7 +365,7 @@ def _run_admm(
         g_prox,
         config,
         init,
-        objective_fn=lambda x_vec: objective_C(handle, _mat(x_vec, handle.R, handle.T), sigma),
+        objective_fn=kernel_value,
         on_iteration=on_iteration,
         sigma_used=sigma,
     )
@@ -352,41 +378,45 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     Mbar = handle.M[:, :-1] - handle.M[:, -1][:, np.newaxis]
     # the coupling rho ||E xr + e_R - v||^2 / 2 has Hessian rho E'E = rho (I + 11')
     hq = _HalfQuadratic(
+        handle,
         Mbar,
         config.rho * (np.eye(R - 1) + 1.0),
         sigma,
-        lambda xr_vec: gradient_reduced_f1(
-            handle, xr_vec.reshape(T, R - 1).T, sigma, return_weights=True
+        lambda xr_vec, out: objective_reduced_f1(
+            handle, xr_vec.reshape(T, R - 1).T, sigma, return_cache=True, out=out
+        ),
+        lambda xr_vec, cache, out: gradient_reduced_f1(
+            handle, xr_vec.reshape(T, R - 1).T, sigma, cache=cache, out=out
         ),
     )
+
+    def reduced(x_vec: np.ndarray) -> np.ndarray:
+        # the free rows of a stacked full vector, stacked pixel-major
+        return x_vec.reshape(T, R)[:, :-1].ravel()
 
     def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         Zk = _mat(z, R, T)
         Uk = _mat(u, R, T)
-        xr0 = _mat(x_prev, R, T)[:-1, :]
 
         def obj(xr_vec: np.ndarray) -> float:
-            Xr = xr_vec.reshape(T, R - 1).T
-            diff = reconstruct_full(Xr) - Zk - Uk
-            return objective_reduced_f1(handle, Xr, sigma) + 0.5 * config.rho * float(
-                np.sum(diff * diff)
-            )
+            diff = reconstruct_full(xr_vec.reshape(T, R - 1).T) - Zk - Uk
+            return hq.value(xr_vec) + 0.5 * config.rho * float(np.sum(diff * diff))
 
         def grad(xr_vec: np.ndarray) -> np.ndarray:
-            Xr = xr_vec.reshape(T, R - 1).T
             G = hq.gradient(xr_vec)
-            D = reconstruct_full(Xr) - Zk - Uk
+            D = reconstruct_full(xr_vec.reshape(T, R - 1).T) - Zk - Uk
             # chain rule through the eliminated row: free rows minus last row
             G = G + config.rho * (D[:-1, :] - D[-1:, :])
             return G.T.ravel()
 
         xr = inner_gradient_descent(
-            grad, obj, xr0.T.ravel(), 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
+            grad, obj, reduced(x_prev), 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
         )
         return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
 
     state, report = _run_admm(
-        handle, config, sigma, f_solver, project_nonnegative, X0, on_iteration
+        config, sigma, f_solver, project_nonnegative, X0, on_iteration,
+        lambda x_vec: hq.value(reduced(x_vec)),
     )
     X = _feasible_fc(_mat(state.z, R, T), _mat(state.x, R, T))
     return AbundanceMatrix(X, tag="fully_constrained"), report
@@ -395,10 +425,16 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     R, T = handle.R, handle.T
     hq = _HalfQuadratic(
+        handle,
         handle.M,
         config.rho * np.eye(R),
         sigma,
-        lambda x_vec: gradient_full(handle, _mat(x_vec, R, T), sigma, return_weights=True),
+        lambda x_vec, out: objective_C(
+            handle, _mat(x_vec, R, T), sigma, return_cache=True, out=out
+        ),
+        lambda x_vec, cache, out: gradient_full(
+            handle, _mat(x_vec, R, T), sigma, cache=cache, out=out
+        ),
     )
     thresh = config.lam / config.rho
 
@@ -407,9 +443,7 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 
         def obj(x_vec: np.ndarray) -> float:
             d = x_vec - v
-            return objective_C(handle, _mat(x_vec, R, T), sigma) + 0.5 * config.rho * float(
-                d @ d
-            )
+            return hq.value(x_vec) + 0.5 * config.rho * float(d @ d)
 
         def grad(x_vec: np.ndarray) -> np.ndarray:
             return _vec(hq.gradient(x_vec)) + config.rho * (x_vec - v)
@@ -421,7 +455,7 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     def g_prox(v: np.ndarray) -> np.ndarray:
         return project_nonnegative(soft_threshold(v, thresh))
 
-    state, report = _run_admm(handle, config, sigma, f_solver, g_prox, X0, on_iteration)
+    state, report = _run_admm(config, sigma, f_solver, g_prox, X0, on_iteration, hq.value)
     return AbundanceMatrix(_mat(state.z, R, T), tag="nonnegative"), report
 
 
@@ -498,7 +532,7 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
                 trace = TuningTrace(
                     sigma0=sigma0_raw, attempts=tuple(attempts), p=p, sigma_final=sigma
                 )
-                return sigma, trace, X_hat, report
+                return sigma, trace, X_hat, replace(report, tuning=trace)
             attempts.append(TuningAttempt(sigma, TuneOutcome.RATIO_TOO_LARGE, ratio))
             sigma = _TUNER_GROWTH * sigma
         else:
@@ -555,12 +589,11 @@ def cusal_fc(
     coupling by warm-started half-quadratic steps, each one solve of the
     (R-1) x (R-1) matrix Mbar' W Mbar / sigma^2 + rho (I + 11') (Mbar the
     other endmembers minus the last one, W the band weights of the reduced
-    gradient's kernel pass at the iterate), reconstructs the
-    full vector (unit column sums by construction), projects for z, and
-    updates the dual.
+    fit's kernel pass at the iterate), reconstructs the full vector (unit
+    column sums by construction), projects for z, and updates the dual.
     Returns the feasible solution (nonnegative, exact unit column sums) and the
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
-    the accepted attempt is returned.
+    the accepted attempt is returned, its report carrying the TuningTrace.
     """
     return _solve(handle, "fc", config, X0, on_iteration)
 
@@ -576,10 +609,11 @@ def cusal_sp(
 
     The x-update takes warm-started half-quadratic steps on the full variables,
     each one solve of the R x R matrix M' W M / sigma^2 + rho I (W the band
-    weights of the gradient's kernel pass at the iterate); the z-update
+    weights of the kernel pass at the iterate); the z-update
     soft-thresholds by lam/rho and projects onto the first orthant.
     Returns the nonnegative z iterate and the run report. With
-    config.sigma_auto the bandwidth tuner drives the solve.
+    config.sigma_auto the bandwidth tuner drives the solve and the report
+    carries its TuningTrace.
     """
     return _solve(handle, "sp", config, X0, on_iteration)
 

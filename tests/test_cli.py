@@ -12,10 +12,12 @@ from unmix import (
     solve_fcls,
     solve_ls,
     solve_sunsal_sparse,
+    tune_sigma,
     validate_problem,
 )
+from unmix import solvers
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
-from unmix.fileio import read_matrix, read_truth_meta, write_matrix
+from unmix.fileio import format_float, read_matrix, read_truth_meta, write_matrix
 from unmix.solvers import ALGORITHMS
 
 # The library call behind each CLI subcommand, run with `--lambda 1e-3` where
@@ -138,6 +140,51 @@ class TestUnmixCommands:
             next(l for l in report.splitlines() if l.startswith("# reconstruction_ratio")).split()[-1]
         )
         assert ratio < 2.0
+
+    @pytest.mark.parametrize("name, algorithm", [("cusal-fc", "fc"), ("cusal-sp", "sp")])
+    def test_tuned_report_lists_the_attempts_and_refits_nothing(
+        self, name, algorithm, tmp_path, monkeypatch
+    ):
+        cube = tmp_path / "cube"
+        run_cli(
+            "generate", "--model", "ppnmm", "--R", 3, "--L", 30, "--T", 10, "--snr", 40,
+            "--corrupt", 28, "--seed", 2, "--out-dir", cube,
+        )
+        ratio_calls = []
+        real_ratio = solvers.reconstruction_ratio
+
+        def counted_ratio(*args, **kwargs):
+            ratio_calls.append(1)
+            return real_ratio(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "reconstruction_ratio", counted_ratio)
+        code = run_cli(
+            name, cube / "Y.txt", cube / "M.txt", "--sigma-auto",
+            *(["--lambda", "1e-3"] if algorithm == "sp" else []),
+            "--out", tmp_path / "X.txt", "--report-path", tmp_path / "report.tsv",
+        )
+        assert code == EXIT_OK
+        cli_ratio_calls = len(ratio_calls)
+        h = validate_problem(read_matrix(cube / "Y.txt"), read_matrix(cube / "M.txt"))
+        _, trace = tune_sigma(h, algorithm, SolverConfig(sigma_auto=True, lam=1e-3))
+        # the tuner checks every attempt that did not diverge; the report
+        # reads the accepted attempt's ratio from the trace
+        assert cli_ratio_calls == sum(a.ratio is not None for a in trace.attempts)
+        lines = (tmp_path / "report.tsv").read_text().splitlines()
+        header = [line for line in lines if line.startswith("# ")]
+        keys = [line.split()[1] for line in header]
+        existing = ["termination_reason", "iterations_run", "sigma_used", "reconstruction_ratio"]
+        assert keys == existing + ["tuner_attempt"] * len(trace.attempts)
+        assert header[3] == f"# reconstruction_ratio {format_float(trace.attempts[-1].ratio)}"
+        assert header[4:] == [
+            f"# tuner_attempt {format_float(a.sigma)} {a.outcome.value} "
+            f"{'nan' if a.ratio is None else format_float(a.ratio)}"
+            for a in trace.attempts
+        ]
+        assert lines[len(header)] == "iteration\tprimal_residual\tdual_residual\tobjective"
+        if algorithm == "sp":
+            # this cube makes the sparse tuner move on after a divergence
+            assert [a.outcome.value for a in trace.attempts] == ["diverged", "converged"]
 
     def test_cusal_sp_output_nonnegative(self, small_cube, tmp_path):
         code = run_cli(

@@ -178,3 +178,56 @@ class TestBandWeights:
         assert np.max(np.abs(cache.eps - recomputed)) <= 1e-12 * max(
             1.0, np.max(np.abs(recomputed))
         )
+
+
+KERNEL_PAIRS = [
+    (objective_C, gradient_full, lambda X: X),
+    (objective_reduced_f1, gradient_reduced_f1, lambda X: X[:-1, :]),
+]
+
+
+class TestKernelPassReuse:
+    """An objective hands its kernel pass to the gradient at the same point;
+    the shared pass changes no bit of either result."""
+
+    @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
+    @pytest.mark.parametrize("workspace", [False, True], ids=["new-arrays", "workspace"])
+    def test_objective_with_its_cache_returns_the_same_bits(
+        self, objective, gradient, variables, workspace, rng
+    ):
+        h, M, X, Y = random_problem(rng, L=37, R=4, T=23, residual_scale=0.4)
+        V = variables(X + 0.05 * rng.standard_normal(X.shape))
+        out = np.empty((2, h.L, h.T)) if workspace else None
+        value, cache = objective(h, V, 0.5, return_cache=True, out=out)
+        assert value == objective(h, V, 0.5)
+        assert value == -float(np.sum(cache.band_weights))
+        assert cache.eps.shape == (h.L, h.T)
+        if workspace:
+            assert np.shares_memory(cache.eps, out[0])
+
+    @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
+    @pytest.mark.parametrize("workspace", [False, True], ids=["new-arrays", "workspace"])
+    def test_gradient_from_the_cache_returns_the_same_bits(
+        self, objective, gradient, variables, workspace, rng
+    ):
+        h, M, X, Y = random_problem(rng, L=37, R=4, T=23, residual_scale=0.4)
+        V = variables(X + 0.05 * rng.standard_normal(X.shape))
+        out = np.empty((2, h.L, h.T)) if workspace else None
+        _, cache = objective(h, V, 0.5, return_cache=True, out=out)
+        eps = cache.eps.copy()
+        expected = gradient(h, V, 0.5)
+        G = gradient(h, V, 0.5, cache=cache, out=out)
+        np.testing.assert_array_equal(G, expected)
+        # the cache survives the gradient, so a second one reads it again
+        np.testing.assert_array_equal(cache.eps, eps)
+        np.testing.assert_array_equal(gradient(h, V, 0.5, cache=cache, out=out), expected)
+
+    def test_cache_or_workspace_of_another_shape_is_rejected(self, rng):
+        h, M, X, Y = random_problem(rng, L=12, R=3, T=5)
+        h_other, _, X_other, _ = random_problem(rng, L=13, R=3, T=5)
+        _, cache = objective_C(h_other, X_other, 0.5, return_cache=True)
+        with pytest.raises(DimensionMismatch):
+            gradient_full(h, X, 0.5, cache=cache)
+        for out in (np.empty((2, 13, 5)), np.empty((2, 12, 5), dtype=np.float32)):
+            with pytest.raises(DimensionMismatch):
+                objective_C(h, X, 0.5, out=out)

@@ -22,7 +22,7 @@ from unmix import (
     tune_sigma,
     validate_problem,
 )
-from unmix import solvers
+from unmix import correntropy, solvers
 from unmix.solvers import _initial_sigma, _project_columns_to_simplex
 from unmix.synth import SyntheticSpec
 
@@ -310,6 +310,41 @@ class TestHalfQuadraticStep:
                         np.testing.assert_array_equal(weights, expected)
                 passes.clear()
 
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_one_kernel_pass_per_trial_point_plus_one_per_run(self, solve, monkeypatch):
+        M = gen_endmembers(3, 60, seed=0)
+        spec = SyntheticSpec(model="lmm", R=3, L=60, T=40, snr_db=30.0, n_corrupt=8, seed=1)
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        passes, objective_calls, x_updates = [], [], []
+        real_kernel = correntropy._kernel
+
+        def counted_kernel(*args, **kwargs):
+            passes.append(1)
+            return real_kernel(*args, **kwargs)
+
+        real_descent = solvers.inner_gradient_descent
+
+        def spy(grad_fn, objective_fn, x_init, *rest):
+            x_updates.append(1)
+
+            def counted(x):
+                objective_calls.append(1)
+                return objective_fn(x)
+
+            return real_descent(grad_fn, counted, x_init, *rest)
+
+        monkeypatch.setattr(correntropy, "_kernel", counted_kernel)
+        monkeypatch.setattr(solvers, "inner_gradient_descent", spy)
+        _, report = solve(h, SolverConfig(sigma=0.02, lam=1e-3, max_outer_iters=20))
+        # every x-update evaluates its start point first; the rest are trials
+        trial_points = len(objective_calls) - len(x_updates)
+        assert len(x_updates) == report.iterations_run > 5
+        assert trial_points > report.iterations_run // 2
+        # the warm start's pass, then one per trial point: the start of the
+        # next x-update, every gradient, the directions and the trace reuse them
+        assert len(passes) == trial_points + 1
+
     def test_newton_direction_solves_a_quadratic_in_one_step(self, rng):
         B = rng.standard_normal((5, 5))
         H = B @ B.T + 0.1 * np.eye(5)
@@ -471,6 +506,20 @@ class TestTuner:
             if outcomes[i] in (TuneOutcome.RATIO_TOO_LARGE, TuneOutcome.DIVERGED):
                 if sigmas[i + 1] > sigmas[i]:
                     assert sigmas[i + 1] == pytest.approx(1.2 * sigmas[i], rel=1e-15)
+
+    @pytest.mark.parametrize("solve, algorithm", [(cusal_fc, "fc"), (cusal_sp, "sp")], ids=["fc", "sp"])
+    def test_tuned_solve_reports_its_tuning_trace(self, solve, algorithm):
+        spec = SyntheticSpec(model="lmm", R=3, L=40, T=30, snr_db=20.0, n_corrupt=6, seed=21)
+        M = gen_endmembers(3, 40, seed=20)
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        config = SolverConfig(sigma_auto=True, lam=1e-3)
+        _, report = solve(h, config)
+        sigma, trace = tune_sigma(h, algorithm, config)
+        assert report.tuning == trace
+        assert report.sigma_used == sigma == trace.sigma_final
+        _, fixed = solve(h, SolverConfig(sigma=sigma, lam=1e-3))
+        assert fixed.tuning is None
 
     def test_accepted_sigma_satisfies_ratio(self, rng):
         spec = SyntheticSpec(model="lmm", R=3, L=50, T=40, snr_db=30.0, n_corrupt=10, seed=31)
