@@ -26,6 +26,7 @@ from .core import (
     ProblemHandle,
     SingularNormalEquations,
     _project_columns_to_simplex,
+    _shrink_nonnegative,
     project_nonnegative,
 )
 
@@ -153,14 +154,6 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
         warnings.warn("fully-constrained solve hit its iteration cap", MaxItersWarning, stacklevel=2)
         X = _project_columns_to_simplex(X)
     return AbundanceMatrix(X, tag="fully_constrained")
-
-
-def _shrink_nonnegative(v: np.ndarray, b: float) -> np.ndarray:
-    """Overwrite v with max(v - b, 0), which for a threshold b >= 0 equals
-    max(soft_threshold(v, b), 0) bit for bit, zeros' signs included, without
-    the sign and magnitude passes; returns v."""
-    np.subtract(v, b, out=v)
-    return np.maximum(v, 0.0, out=v)
 
 
 def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:

@@ -67,16 +67,21 @@ def _add_algorithms(sub):
                 "1e-6*max(1, ||Y||_F/sqrt(LT))), grow by 1.2, divide the start by p after "
                 "divergence beyond 1000x, accept at reconstruction ratio < 2, give up after 60 attempts",
             )
-            p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty (default 1)")
             p.add_argument(
-                "--max-iters", type=int, default=1000, help="outer iteration cap (default 1000)"
+                "--rho", type=float, default=SolverConfig.rho,
+                help=f"ADMM penalty (default {SolverConfig.rho:g})",
+            )
+            p.add_argument(
+                "--max-iters", type=int, default=SolverConfig.max_outer_iters,
+                help=f"outer iteration cap (default {SolverConfig.max_outer_iters:g})",
             )
             p.add_argument(
                 "--max-inner-iters",
                 type=int,
-                default=50,
-                help="half-quadratic steps per x-update (default 50; inner tolerance 1e-6 "
-                "relative gradient norm)",
+                default=SolverConfig.max_inner_iters,
+                help="half-quadratic steps per x-update "
+                f"(default {SolverConfig.max_inner_iters:g}; "
+                "inner tolerance 1e-6 relative gradient norm)",
             )
 
 
@@ -109,10 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unmix",
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
-        epilog="Solver defaults: rho=1, 50 inner and 1000 outer iterations, "
+        epilog=f"Solver defaults: rho={SolverConfig.rho:g}, "
+        f"{SolverConfig.max_inner_iters:g} inner and "
+        f"{SolverConfig.max_outer_iters:g} outer iterations, "
         "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: each inner "
         "step minimizes the weighted least-squares majorizer of the x-subproblem "
-        "(unit step), inner tolerance 1e-6. "
+        "(unit step; a step that does not lower the subproblem ends the x-update), "
+        "inner tolerance 1e-6. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -99,14 +99,6 @@ class ObservationMatrix:
     def __post_init__(self):
         object.__setattr__(self, "data", _as_matrix(self.data, what="observation matrix"))
 
-    @property
-    def band_count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class EndmemberMatrix:
@@ -121,14 +113,6 @@ class EndmemberMatrix:
                 f"endmember matrix must be tall (R <= L), got L={arr.shape[0]}, R={arr.shape[1]}"
             )
         object.__setattr__(self, "data", arr)
-
-    @property
-    def band_count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def endmember_count(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -161,14 +145,6 @@ class AbundanceMatrix:
                 )
         object.__setattr__(self, "data", arr)
 
-    @property
-    def endmember_count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -186,8 +162,9 @@ class SolverConfig:
 
     The x-update's step and tolerance are fixed values, not settings: each
     step solves the weighted least-squares problem that majorizes the
-    x-subproblem at the current iterate (unit step, Armijo-checked), and the
-    steps stop at 1e-6 relative gradient norm.
+    x-subproblem at the current iterate (unit step; a step that does not lower
+    the subproblem ends the x-update), and the steps stop at 1e-6 relative
+    gradient norm.
     """
 
     sigma: Optional[float] = None
@@ -306,6 +283,14 @@ def _project_columns_to_simplex(X: np.ndarray) -> np.ndarray:
     k = R - 1 - np.argmax(cond[::-1, :], axis=0)
     theta = css[k, np.arange(T)] / (k + 1.0)
     return np.maximum(X - theta[np.newaxis, :], 0.0)
+
+
+def _shrink_nonnegative(v: np.ndarray, b: float) -> np.ndarray:
+    """Overwrite v with max(v - b, 0), which for a threshold b >= 0 equals
+    max(soft_threshold(v, b), 0) bit for bit, zeros' signs included, without
+    the sign and magnitude passes; returns v."""
+    np.subtract(v, b, out=v)
+    return np.maximum(v, 0.0, out=v)
 
 
 def validate_problem(Y, M) -> ProblemHandle:

@@ -41,10 +41,6 @@ class ReducedAbundance:
     def __post_init__(self):
         object.__setattr__(self, "data", _as_matrix(self.data, what="reduced abundance matrix"))
 
-    @property
-    def pixel_count(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class ResidualCache:

@@ -4,8 +4,9 @@ The generic scaffold alternates an inexact x-minimization, a proximal z-step,
 and the scaled dual update, with the splitting x = z. The fully-constrained
 solver works in the reduced variables (last abundance row eliminated by the
 sum-to-one constraint) inside its x-update and reconstructs the full vector
-afterwards; the sparsity-promoting solver works in the full variables and uses
-soft thresholding plus projection in its z-step.
+afterwards; the sparsity-promoting solver works in the full variables, and its
+z-step max(v - lam/rho, 0) is soft thresholding followed by projection onto the
+first orthant.
 
 Both x-updates take half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
@@ -15,8 +16,8 @@ mixing operator seen by the variables, W the band weights at the iterate, C the
 curvature of the coupling term). The step x - P^-1 g minimizes that quadratic,
 so it lowers the objective by at least g' P^-1 g / 2; one solve of P with all
 T pixels as right-hand sides makes one step. The steps run in
-inner_gradient_descent with unit length, whose Armijo test accepts them without
-halving.
+inner_gradient_descent at unit length; a step that fails its sufficient-decrease
+test, which only rounding could cause, ends the x-update at the point before it.
 
 A step costs one kernel pass (residual, band energies, band weights): the
 objective's at the trial point. The run keeps the last pass with its point, so
@@ -55,8 +56,8 @@ from .core import (
     Termination,
     TuningFailed,
     _project_columns_to_simplex,
+    _shrink_nonnegative,
     project_nonnegative,
-    soft_threshold,
 )
 from .correntropy import (
     gradient_full,
@@ -66,10 +67,10 @@ from .correntropy import (
     reconstruct_full,
 )
 
+# Sufficient-decrease constant and relative gradient-norm tolerance of the
+# inner descent in both solvers.
 _ARMIJO_C = 1e-4
-# Relative gradient-norm tolerance of the inner descent in both solvers.
 _INNER_TOL = 1e-6
-_MAX_HALVINGS = 60
 _TUNER_ATTEMPT_CAP = 60
 _TUNER_GROWTH = 1.2
 _TUNER_OVERESTIMATE = 1000.0
@@ -234,48 +235,35 @@ def inner_gradient_descent(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     objective_fn: Callable[[np.ndarray], float],
     x_init: np.ndarray,
-    eta: float,
     max_inner_iters: int,
-    inner_tol: float,
-    direction: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Descent along -direction(x, g) with Armijo backtracking (halving) on the step.
+    """Majorize-minimize descent: steps x - d with d = direction(x, g).
 
-    direction maps the iterate and its gradient g to a descent direction d with
-    g'd > 0; the default is d = g, plain gradient descent. A trial step s is
-    accepted when f(x - s d) <= f(x) - 1e-4 s g'd. Stops when
-    ||g|| <= inner_tol * (1 + ||x||), after max_inner_iters steps, or when no
-    halving is accepted. The step resets to eta on every call; within a call,
-    an accepted halved step is kept for the following iterations.
+    direction maps the iterate and its gradient g to the step d, with g'd > 0.
+    A step is taken when f(x - d) <= f(x) - 1e-4 g'd; a step that fails this
+    test ends the descent at x. Stops when ||g|| <= 1e-6 (1 + ||x||) or after
+    max_inner_iters steps.
     """
-    if not (eta > 0):
-        raise InvalidInput("eta must be positive")
     x = np.array(x_init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteIterate("inner descent started from a non-finite point")
     f = float(objective_fn(x))
     if not np.isfinite(f):
         raise NonFiniteIterate("inner objective is non-finite at the starting point")
-    step = float(eta)
     for _ in range(max_inner_iters):
         g = np.asarray(grad_fn(x), dtype=float)
         if not np.all(np.isfinite(g)):
             raise NonFiniteIterate("inner gradient is non-finite")
-        if float(np.linalg.norm(g)) <= inner_tol * (1.0 + float(np.linalg.norm(x))):
+        if float(np.linalg.norm(g)) <= _INNER_TOL * (1.0 + float(np.linalg.norm(x))):
             break
-        d = g if direction is None else np.asarray(direction(x, g), dtype=float)
+        d = np.asarray(direction(x, g), dtype=float)
         slope = float(g @ d)
         if not np.isfinite(slope):
             raise NonFiniteIterate("inner descent direction is non-finite")
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            x_try = x - step * d
-            f_try = float(objective_fn(x_try))
-            if np.isfinite(f_try) and f_try <= f - _ARMIJO_C * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        x_try = x - d
+        f_try = float(objective_fn(x_try))
+        if not (np.isfinite(f_try) and f_try <= f - _ARMIJO_C * slope):
             break
         x, f = x_try, f_try
     if not np.all(np.isfinite(x)):
@@ -410,7 +398,7 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
             return G.T.ravel()
 
         xr = inner_gradient_descent(
-            grad, obj, reduced(x_prev), 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
+            grad, obj, reduced(x_prev), config.max_inner_iters, hq.direction
         )
         return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
 
@@ -448,12 +436,10 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
         def grad(x_vec: np.ndarray) -> np.ndarray:
             return _vec(hq.gradient(x_vec)) + config.rho * (x_vec - v)
 
-        return inner_gradient_descent(
-            grad, obj, x_prev, 1.0, config.max_inner_iters, _INNER_TOL, hq.direction
-        )
+        return inner_gradient_descent(grad, obj, x_prev, config.max_inner_iters, hq.direction)
 
     def g_prox(v: np.ndarray) -> np.ndarray:
-        return project_nonnegative(soft_threshold(v, thresh))
+        return _shrink_nonnegative(v, thresh)
 
     state, report = _run_admm(config, sigma, f_solver, g_prox, X0, on_iteration, hq.value)
     return AbundanceMatrix(_mat(state.z, R, T), tag="nonnegative"), report
@@ -610,7 +596,8 @@ def cusal_sp(
     The x-update takes warm-started half-quadratic steps on the full variables,
     each one solve of the R x R matrix M' W M / sigma^2 + rho I (W the band
     weights of the kernel pass at the iterate); the z-update
-    soft-thresholds by lam/rho and projects onto the first orthant.
+    soft-thresholds by lam/rho and projects onto the first orthant in one
+    shrink, max(v - lam/rho, 0).
     Returns the nonnegative z iterate and the run report. With
     config.sigma_auto the bandwidth tuner drives the solve and the report
     carries its TuningTrace.

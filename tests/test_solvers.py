@@ -122,7 +122,7 @@ class TestInnerGradientDescent:
         a = np.array([1.0, -2.0])
         out = inner_gradient_descent(
             lambda x: x - a, lambda x: 0.5 * float(np.sum((x - a) ** 2)),
-            np.zeros(2), eta=1.0, max_inner_iters=10, inner_tol=1e-12,
+            np.zeros(2), max_inner_iters=10, direction=lambda x, g: g,
         )
         np.testing.assert_allclose(out, a, atol=1e-14)
 
@@ -132,18 +132,26 @@ class TestInnerGradientDescent:
         k = 7
         out = inner_gradient_descent(
             lambda x: x - a, lambda x: 0.5 * float(np.sum((x - a) ** 2)),
-            x0, eta=0.1, max_inner_iters=k, inner_tol=1e-15,
+            x0, max_inner_iters=k, direction=lambda x, g: 0.1 * g,
         )
         expected_dist = 0.9**k * np.linalg.norm(x0 - a)
         assert np.linalg.norm(out - a) == pytest.approx(expected_dist, rel=1e-12)
 
-    def test_backtracking_recovers_from_huge_step(self):
+    def test_failed_step_ends_the_descent_at_its_start(self):
         a = np.array([3.0])
+        x0 = np.zeros(1)
+        calls = []
+
+        def obj(x):
+            calls.append(x)
+            return 0.5 * float(np.sum((x - a) ** 2))
+
         out = inner_gradient_descent(
-            lambda x: x - a, lambda x: 0.5 * float(np.sum((x - a) ** 2)),
-            np.zeros(1), eta=1e9, max_inner_iters=300, inner_tol=1e-10,
+            lambda x: x - a, obj, x0, max_inner_iters=300, direction=lambda x, g: 1e9 * g
         )
-        assert abs(out[0] - 3.0) < 1e-6
+        # the start and the one rejected trial: no shorter step is tried
+        assert len(calls) == 2
+        np.testing.assert_array_equal(out, x0)
 
     def test_monotone_objective_on_correntropy_subproblem(self, rng):
         from unmix import gradient_reduced_f1, objective_reduced_f1
@@ -174,7 +182,8 @@ class TestInnerGradientDescent:
             return v
 
         inner_gradient_descent(
-            grad, traced_obj, X[:-1].T.ravel(), eta=0.05, max_inner_iters=30, inner_tol=1e-12
+            grad, traced_obj, X[:-1].T.ravel(), max_inner_iters=30,
+            direction=lambda x, g: 0.05 * g,
         )
         accepted = [values[0]]
         for v in values[1:]:
@@ -225,10 +234,10 @@ class TestHalfQuadraticStep:
         seen = []
         real = solvers.inner_gradient_descent
 
-        def spy(grad_fn, objective_fn, x_init, eta, max_inner_iters, inner_tol, direction=None):
-            assert eta == 1.0 and direction is not None
+        def spy(grad_fn, objective_fn, x_init, max_inner_iters, direction):
+            assert direction is not None
             seen.append((grad_fn, objective_fn, np.array(x_init), direction))
-            return real(grad_fn, objective_fn, x_init, eta, max_inner_iters, inner_tol, direction)
+            return real(grad_fn, objective_fn, x_init, max_inner_iters, direction)
 
         monkeypatch.setattr(solvers, "inner_gradient_descent", spy)
         solve(handle, config)
@@ -253,8 +262,8 @@ class TestHalfQuadraticStep:
                     calls.append(v)
                     return obj(v)
 
-                out = inner_gradient_descent(grad, counted, x, 1.0, 1, 1e-15, direction)
-                # the start and one trial: the unit step passed Armijo unhalved
+                out = inner_gradient_descent(grad, counted, x, 1, direction)
+                # the start and one trial: the unit step passed the decrease test
                 assert len(calls) == 2
                 np.testing.assert_array_equal(out, x - d)
 
@@ -352,7 +361,7 @@ class TestHalfQuadraticStep:
         out = inner_gradient_descent(
             lambda x: H @ x - b,
             lambda x: 0.5 * float(x @ H @ x) - float(b @ x),
-            np.zeros(5), 1.0, 1, 1e-15,
+            np.zeros(5), 1,
             direction=lambda x, g: np.linalg.solve(H, g),
         )
         np.testing.assert_allclose(out, np.linalg.solve(H, b), rtol=1e-10, atol=1e-12)
