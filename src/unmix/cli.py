@@ -65,7 +65,9 @@ def _add_algorithms(sub):
                 action="store_true",
                 help="search the bandwidth: start at sqrt(R/8L)*||Y - M X_ls||_F (floored to "
                 "1e-6*max(1, ||Y||_F/sqrt(LT))), grow by 1.2, divide the start by p after "
-                "divergence beyond 1000x, accept at reconstruction ratio < 2, give up after 60 attempts",
+                "divergence beyond 1000x, accept at reconstruction ratio < 2, give up after 60 attempts, "
+                "or at the first ratio >= 2 when the best feasible fit's ratio (fcls, or NNLS for "
+                "cusal-sp) is >= 2 as well",
             )
             p.add_argument(
                 "--rho", type=float, default=SolverConfig.rho,

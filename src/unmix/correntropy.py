@@ -88,10 +88,10 @@ def _operator(handle: ProblemHandle, reduced: bool) -> np.ndarray:
 
 
 def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
-    """Operator A seen by the variables, residual Y - (fit) and band weights at X.
+    """Residual Y - (fit) and band weights at X.
 
-    The reduced fit is Mbar Xr + m_R, which equals M times the reconstructed
-    full matrix. The residual is built in out[0] and its squares in out[1]; out
+    The fit is M X, or Mbar Xr + m_R in the reduced variables, which equals M
+    times the reconstructed full matrix. The residual is built in out[0] and its squares in out[1]; out
     is a float64 (2, L, T) workspace, a new one when None.
     """
     arr = _check_shapes(handle, X, reduced)
@@ -100,8 +100,7 @@ def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
         out = np.empty((2, handle.L, handle.T))
     elif out.shape != (2, handle.L, handle.T) or out.dtype != np.float64:
         raise DimensionMismatch(f"the workspace must be float64 of shape {(2, handle.L, handle.T)}")
-    A = _operator(handle, reduced)
-    eps = np.matmul(A, arr, out=out[0])
+    eps = np.matmul(_operator(handle, reduced), arr, out=out[0])
     if reduced:
         eps += handle.M[:, -1:]
     np.subtract(handle.Y, eps, out=eps)
@@ -111,13 +110,12 @@ def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
     # bands far outside the kernel width.
     with np.errstate(under="ignore"):
         w = np.exp(-np.sum(sq, axis=1) / (2.0 * sigma**2))
-    return A, eps, w
+    return eps, w
 
 
 def residual_cache(handle: ProblemHandle, X, sigma: float) -> ResidualCache:
     """Residuals and band weights at X; recomputed fresh on every call."""
-    _, eps, w = _kernel(handle, X, sigma, False, None)
-    return ResidualCache(eps=eps, band_weights=w)
+    return _objective(handle, X, sigma, False, True, None)[1]
 
 
 def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
@@ -126,25 +124,23 @@ def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
 
 
 def _objective(handle: ProblemHandle, X, sigma: float, reduced: bool, return_cache: bool, out):
-    _, eps, w = _kernel(handle, X, sigma, reduced, out)
+    eps, w = _kernel(handle, X, sigma, reduced, out)
     value = -float(np.sum(w))
     return (value, ResidualCache(eps=eps, band_weights=w)) if return_cache else value
 
 
 def _gradient(handle: ProblemHandle, X, sigma: float, reduced: bool, cache, out):
     if cache is None:
-        A, eps, w = _kernel(handle, X, sigma, reduced, out)
-        weighted = np.multiply(w[:, np.newaxis], eps, out=eps)
+        cache = _objective(handle, X, sigma, reduced, True, out)[1]
     else:
         _check_shapes(handle, X, reduced)
         _check_sigma(sigma)
         if cache.eps.shape != (handle.L, handle.T) or cache.band_weights.shape != (handle.L,):
             raise DimensionMismatch("the residual cache does not fit this problem")
-        A = _operator(handle, reduced)
-        weighted = np.multiply(
-            cache.band_weights[:, np.newaxis], cache.eps, out=None if out is None else out[1]
-        )
-    return -(1.0 / float(sigma) ** 2) * (A.T @ weighted)
+    weighted = np.multiply(
+        cache.band_weights[:, np.newaxis], cache.eps, out=None if out is None else out[1]
+    )
+    return -(1.0 / float(sigma) ** 2) * (_operator(handle, reduced).T @ weighted)
 
 
 def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = False, out=None):

@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import metrics, solvers, synth
 from .core import InvalidInput, SolverConfig, UnmixError, validate_problem
-from .fileio import ParseError, format_float, parse_interval
+from .fileio import ParseError, _content_lines, format_float, parse_interval
 
 # The default l1 grid used when a config does not set lambda_grid.
 DEFAULT_LAMBDA_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2, 1e-1)
@@ -47,7 +47,7 @@ class ExperimentConfig:
     b_range: tuple = (-3.0, 3.0)
     endmember_seed: int = 0
     min_angle_deg: float = 10.0
-    max_outer_iters: int = 1000
+    max_outer_iters: int = SolverConfig.max_outer_iters
 
     def spec(self, n_corrupt: int, seed: int) -> synth.SyntheticSpec:
         """The cube recipe of one grid cell."""
@@ -113,10 +113,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        for lineno, stripped in _content_lines(fh):
             key, sep, value = stripped.partition("=")
             if not sep:
                 raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)

@@ -80,7 +80,8 @@ def read_matrix(path) -> np.ndarray:
 
 def _content_lines(fh):
     """(line number, stripped text) of the file's lines that are neither blank
-    nor `#` comments, read one line at a time. Lines are numbered as
+    nor `#` comments, read one line at a time; every text file the package
+    reads goes through it. Lines are numbered as
     str.splitlines() splits the text, so form feeds and the other Unicode line
     boundaries start a new line, as the newline characters do."""
     lineno = 0
@@ -117,10 +118,7 @@ def write_truth_meta(path, truth, spec) -> None:
 def read_truth_meta(path) -> dict:
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        for _, stripped in _content_lines(fh):
             key, _, rest = stripped.partition(" ")
             out[key] = rest
     return out

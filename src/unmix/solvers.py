@@ -1,21 +1,24 @@
 """ADMM solvers for the correntropy unmixing problems.
 
 The generic scaffold alternates an inexact x-minimization, a proximal z-step,
-and the scaled dual update, with the splitting x = z. The fully-constrained
-solver works in the reduced variables (last abundance row eliminated by the
-sum-to-one constraint) inside its x-update and reconstructs the full vector
-afterwards; the sparsity-promoting solver works in the full variables, and its
-z-step max(v - lam/rho, 0) is soft thresholding followed by projection onto the
-first orthant.
+and the scaled dual update, with the splitting x = z. Both problems share one
+x-update (_HalfQuadratic.x_update): it minimizes the kernel term of the fit plus
+the coupling rho/2 ||full(Xi) - (Z + U)||^2 over the problem's free variables
+Xi. Each problem supplies only its parameterization, its prox and its final
+abundances. The fully-constrained solver's free variables are the reduced ones
+(last abundance row eliminated by the sum-to-one constraint, full rebuilds it)
+and its z-step projects onto the first orthant; the sparsity-promoting solver's
+are the full abundances, and its z-step max(v - lam/rho, 0) is soft
+thresholding followed by projection onto the first orthant.
 
-Both x-updates take half-quadratic (majorize-minimize) steps. The kernel term
+The x-update takes half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
 the x-subproblem lies below the quadratic whose gradient there is g and whose
-Hessian is, per pixel, the small SPD matrix P = A' W A / sigma^2 + rho C (A the
-mixing operator seen by the variables, W the band weights at the iterate, C the
-curvature of the coupling term). The step x - P^-1 g minimizes that quadratic,
-so it lowers the objective by at least g' P^-1 g / 2; one solve of P with all
-T pixels as right-hand sides makes one step. The steps run in
+Hessian is, per pixel, the small SPD matrix P = A' W A / sigma^2 + rho E'E (A
+the mixing operator seen by the free variables, W the band weights at the
+iterate, E the linear part of full). The step x - P^-1 g minimizes that
+quadratic, so it lowers the objective by at least g' P^-1 g / 2; one solve of P
+with all T pixels as right-hand sides makes one step. The steps run in
 inner_gradient_descent at unit length; a step that fails its sufficient-decrease
 test, which only rounding could cause, ends the x-update at the point before it.
 
@@ -25,9 +28,10 @@ the gradient there, W, the next x-update's start value and the report's
 objective trace at the x-update's result all read it; a run evaluates the
 kernel once at its warm start and once per trial point. The passes build their
 residual and its squares in a workspace of two L x T arrays that the run owns,
-so they allocate no L x T array. The fully-constrained trace is therefore the
-kernel term of the reduced fit, equal to objective_C at the full iterate to
-rounding; the sparsity-promoting trace is objective_C bit for bit.
+so they allocate no L x T array. The trace is the kernel term at the free rows
+of the iterate: for the fully-constrained solver the kernel term of the reduced
+fit, equal to objective_C at the full iterate to rounding; for the
+sparsity-promoting solver objective_C bit for bit.
 
 Stacked vectors follow the pixel-major convention x = [x_1' ... x_T']', i.e.
 `vec = X.T.ravel()` for an R x T abundance matrix.
@@ -60,6 +64,7 @@ from .core import (
     project_nonnegative,
 )
 from .correntropy import (
+    _operator,
     gradient_full,
     gradient_reduced_f1,
     objective_C,
@@ -280,13 +285,24 @@ def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
 
 
 class _HalfQuadratic:
-    """The kernel term of one run's x-updates: its value, its gradient and the
-    half-quadratic direction d = P^-1 g, P = A' W A / sigma^2 + coupling.
+    """One run's x-subproblem and its half-quadratic x-update, for either
+    parameterization of the abundances.
 
-    A is the mixing operator seen by the inner variables and coupling the
-    Hessian of the quadratic coupling term per pixel. kernel_objective(x, out)
-    returns the kernel term at the stacked inner iterate x with the
-    ResidualCache of its kernel pass, and kernel_gradient(x, cache, out) the
+    The free variables Xi (n x T, n = A.shape[1]; stacked pixel-major as xi)
+    give the full R x T matrix full(Xi), and the x-subproblem at (z, u) is
+
+        kernel(Xi) + rho/2 ||full(Xi) - (Z + U)||^2,
+
+    kernel the correntropy term of the fit seen through the mixing operator A.
+    With D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
+    rho pull(D), pull = E' the adjoint of full's linear part E, and the
+    coupling's curvature per pixel is rho E'E. x_update(x_prev, z, u)
+    minimizes it with inner_gradient_descent from the free rows of x_prev
+    along d = P^-1 g, P = A' W A / sigma^2 + rho E'E, and returns full of the
+    result, stacked. rho is read once, when the run builds its x-update.
+
+    kernel_objective(Xi, out) returns the kernel term at Xi with the
+    ResidualCache of its kernel pass, and kernel_gradient(Xi, cache, out) the
     gradient from that cache; out is the run's (2, L, T) workspace, which every
     pass builds its residual in. The last pass is kept with a copy of its point
     (self.x; self.weights are its band weights) across the run's x-updates, so
@@ -297,9 +313,14 @@ class _HalfQuadratic:
     """
 
     def __init__(
-        self, handle: ProblemHandle, A, coupling, sigma: float, kernel_objective, kernel_gradient
+        self, handle: ProblemHandle, config: SolverConfig, sigma: float, A,
+        kernel_objective, kernel_gradient, *, EtE, full, pull,
     ):
-        self.A, self.coupling, self.sigma = A, coupling, sigma
+        self.R, self.T = handle.R, handle.T
+        self.A, self.full, self.pull, self.sigma = A, full, pull, sigma
+        self.rho = config.rho
+        self.curvature = self.rho * EtE
+        self.max_inner_iters = config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
         self.work = np.empty((2, handle.L, handle.T))
         self.x = None  # the point of the last kernel pass
@@ -310,24 +331,43 @@ class _HalfQuadratic:
     def weights(self) -> np.ndarray:
         return self.cache.band_weights
 
-    def _seen(self, x: np.ndarray) -> bool:
-        return self.x is not None and np.array_equal(x, self.x)
+    def free(self, x_vec: np.ndarray) -> np.ndarray:
+        """The free rows of a stacked full vector, stacked pixel-major."""
+        return x_vec.reshape(self.T, self.R)[:, : self.A.shape[1]].ravel()
 
-    def value(self, x: np.ndarray) -> float:
-        if not self._seen(x):
-            self.term, self.cache = self.kernel_objective(x, self.work)
-            self.x = x.copy()
+    def _matrix(self, xi: np.ndarray) -> np.ndarray:
+        return xi.reshape(self.T, self.A.shape[1]).T
+
+    def value(self, xi: np.ndarray) -> float:
+        if self.x is None or not np.array_equal(xi, self.x):
+            self.term, self.cache = self.kernel_objective(self._matrix(xi), self.work)
+            self.x = xi.copy()
         return self.term
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        self.value(x)
-        return self.kernel_gradient(x, self.cache, self.work)
+    def gradient(self, xi: np.ndarray) -> np.ndarray:
+        self.value(xi)
+        return self.kernel_gradient(self._matrix(xi), self.cache, self.work)
 
-    def direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if not self._seen(x):
-            self.gradient(x)
-        P = (self.A.T * self.weights) @ self.A / self.sigma**2 + self.coupling
+    def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
+        self.value(xi)
+        P = (self.A.T * self.weights) @ self.A / self.sigma**2 + self.curvature
         return np.linalg.solve(P, g.reshape(-1, self.A.shape[1]).T).T.ravel()
+
+    def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        V = _mat(z + u, self.R, self.T)
+
+        def objective(xi: np.ndarray) -> float:
+            D = self.full(self._matrix(xi)) - V
+            return self.value(xi) + 0.5 * self.rho * float(np.sum(D * D))
+
+        def gradient(xi: np.ndarray) -> np.ndarray:
+            D = self.full(self._matrix(xi)) - V
+            return _vec(self.gradient(xi) + self.rho * self.pull(D))
+
+        xi = inner_gradient_descent(
+            gradient, objective, self.free(x_prev), self.max_inner_iters, self.direction
+        )
+        return _vec(self.full(self._matrix(xi)))
 
 
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -341,21 +381,21 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_admm(config: SolverConfig, sigma: float, f_solver, g_prox, X0, on_iteration, kernel_value):
+def _run_admm(config: SolverConfig, hq: _HalfQuadratic, g_prox, X0, on_iteration):
     """The ADMM run both problems share: x and z start at the warm start X0, the
-    scaled dual at zero, and the report traces kernel_value(x) at every new x,
-    the kernel term the x-update's last pass computed there. Returns the final
-    state and the report."""
+    scaled dual at zero, x-updates are hq's, and the report traces the kernel
+    term at the free rows of every new x, which the x-update's last pass
+    computed. Returns the final state and the report."""
     x0 = _vec(np.asarray(X0, dtype=float))
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
-        f_solver,
+        hq.x_update,
         g_prox,
         config,
         init,
-        objective_fn=kernel_value,
+        objective_fn=lambda x: hq.value(hq.free(x)),
         on_iteration=on_iteration,
-        sigma_used=sigma,
+        sigma_used=hq.sigma,
     )
 
 
@@ -363,104 +403,56 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     R, T = handle.R, handle.T
     if R < 2:
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
-    Mbar = handle.M[:, :-1] - handle.M[:, -1][:, np.newaxis]
-    # the coupling rho ||E xr + e_R - v||^2 / 2 has Hessian rho E'E = rho (I + 11')
+    # the free rows are all but the last, X = E Xi + e_R; pull is E' and the
+    # coupling's curvature rho E'E = rho (I + 11')
     hq = _HalfQuadratic(
-        handle,
-        Mbar,
-        config.rho * (np.eye(R - 1) + 1.0),
-        sigma,
-        lambda xr_vec, out: objective_reduced_f1(
-            handle, xr_vec.reshape(T, R - 1).T, sigma, return_cache=True, out=out
-        ),
-        lambda xr_vec, cache, out: gradient_reduced_f1(
-            handle, xr_vec.reshape(T, R - 1).T, sigma, cache=cache, out=out
-        ),
+        handle, config, sigma, _operator(handle, True),
+        lambda Xr, out: objective_reduced_f1(handle, Xr, sigma, return_cache=True, out=out),
+        lambda Xr, cache, out: gradient_reduced_f1(handle, Xr, sigma, cache=cache, out=out),
+        EtE=np.eye(R - 1) + 1.0, full=reconstruct_full, pull=lambda D: D[:-1] - D[-1:],
     )
-
-    def reduced(x_vec: np.ndarray) -> np.ndarray:
-        # the free rows of a stacked full vector, stacked pixel-major
-        return x_vec.reshape(T, R)[:, :-1].ravel()
-
-    def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        Zk = _mat(z, R, T)
-        Uk = _mat(u, R, T)
-
-        def obj(xr_vec: np.ndarray) -> float:
-            diff = reconstruct_full(xr_vec.reshape(T, R - 1).T) - Zk - Uk
-            return hq.value(xr_vec) + 0.5 * config.rho * float(np.sum(diff * diff))
-
-        def grad(xr_vec: np.ndarray) -> np.ndarray:
-            G = hq.gradient(xr_vec)
-            D = reconstruct_full(xr_vec.reshape(T, R - 1).T) - Zk - Uk
-            # chain rule through the eliminated row: free rows minus last row
-            G = G + config.rho * (D[:-1, :] - D[-1:, :])
-            return G.T.ravel()
-
-        xr = inner_gradient_descent(
-            grad, obj, reduced(x_prev), config.max_inner_iters, hq.direction
-        )
-        return _vec(reconstruct_full(xr.reshape(T, R - 1).T))
-
-    state, report = _run_admm(
-        config, sigma, f_solver, project_nonnegative, X0, on_iteration,
-        lambda x_vec: hq.value(reduced(x_vec)),
-    )
+    state, report = _run_admm(config, hq, project_nonnegative, X0, on_iteration)
     X = _feasible_fc(_mat(state.z, R, T), _mat(state.x, R, T))
     return AbundanceMatrix(X, tag="fully_constrained"), report
 
 
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
-    R, T = handle.R, handle.T
     hq = _HalfQuadratic(
-        handle,
-        handle.M,
-        config.rho * np.eye(R),
-        sigma,
-        lambda x_vec, out: objective_C(
-            handle, _mat(x_vec, R, T), sigma, return_cache=True, out=out
-        ),
-        lambda x_vec, cache, out: gradient_full(
-            handle, _mat(x_vec, R, T), sigma, cache=cache, out=out
-        ),
+        handle, config, sigma, _operator(handle, False),
+        lambda X, out: objective_C(handle, X, sigma, return_cache=True, out=out),
+        lambda X, cache, out: gradient_full(handle, X, sigma, cache=cache, out=out),
+        EtE=np.eye(handle.R), full=lambda X: X, pull=lambda D: D,
     )
     thresh = config.lam / config.rho
-
-    def f_solver(x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        v = z + u
-
-        def obj(x_vec: np.ndarray) -> float:
-            d = x_vec - v
-            return hq.value(x_vec) + 0.5 * config.rho * float(d @ d)
-
-        def grad(x_vec: np.ndarray) -> np.ndarray:
-            return _vec(hq.gradient(x_vec)) + config.rho * (x_vec - v)
-
-        return inner_gradient_descent(grad, obj, x_prev, config.max_inner_iters, hq.direction)
-
-    def g_prox(v: np.ndarray) -> np.ndarray:
-        return _shrink_nonnegative(v, thresh)
-
-    state, report = _run_admm(config, sigma, f_solver, g_prox, X0, on_iteration, hq.value)
-    return AbundanceMatrix(_mat(state.z, R, T), tag="nonnegative"), report
+    state, report = _run_admm(
+        config, hq, lambda v: _shrink_nonnegative(v, thresh), X0, on_iteration
+    )
+    return AbundanceMatrix(_mat(state.z, handle.R, handle.T), tag="nonnegative"), report
 
 
-# Each problem's runner and the default warm start of its runs, fixed-bandwidth
+# Each problem's runner, the default warm start of its runs, fixed-bandwidth
 # or tuned, given the least-squares abundances when the caller already has them
-# (None otherwise). The fc start is their projection onto the simplex. The sp
-# start is the nonnegative least-squares fit: feasible, and its
-# residual stays on the least-squares scale, which keeps the kernel weights
-# alive at the data-driven starting bandwidth. Clipping the plain LS solution
-# can land far outside the kernel width when the endmembers are strongly
-# correlated.
+# (None otherwise), and its best feasible fit. The fc start is their projection
+# onto the simplex. The sp start is the nonnegative least-squares fit: feasible,
+# and its residual stays on the least-squares scale, which keeps the kernel
+# weights alive at the data-driven starting bandwidth. Clipping the plain LS
+# solution can land far outside the kernel width when the endmembers are
+# strongly correlated. The best feasible fit minimizes the residual over the
+# problem's feasible set (the simplex for fc, the first orthant for sp), so no
+# result of the problem reconstructs better.
 _PROBLEMS = {
     "fc": (
         _run_cusal_fc,
         lambda h, X_ls: _project_columns_to_simplex(
             baselines.solve_ls(h).data if X_ls is None else X_ls
         ),
+        lambda h: baselines.solve_fcls(h),
     ),
-    "sp": (_run_cusal_sp, lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0).data),
+    "sp": (
+        _run_cusal_sp,
+        lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0).data,
+        lambda h: baselines.solve_sunsal_sparse(h, 0.0),
+    ),
 }
 
 
@@ -499,7 +491,7 @@ def _initial_sigma(handle: ProblemHandle, ls_residual: Optional[float] = None) -
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
-    runner, default_init = _PROBLEMS[algorithm]
+    runner, default_init, best_fit = _PROBLEMS[algorithm]
     # one least-squares fit serves the warm start, sigma0 and every ratio check
     X_ls, ls_residual = _ls_fit(handle)
     if X0 is None:
@@ -509,6 +501,7 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
     sigma = sigma0
     p = 1
     attempts: list[TuningAttempt] = []
+    bound = None  # the best feasible fit's ratio, once an attempt reconstructs poorly
     for _ in range(_TUNER_ATTEMPT_CAP):
         X_hat, report = runner(handle, config, sigma, X0, on_iteration)
         if report.termination_reason in (Termination.RESIDUALS_SMALL, Termination.MAX_ITERS):
@@ -520,6 +513,13 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
                 )
                 return sigma, trace, X_hat, replace(report, tuning=trace)
             attempts.append(TuningAttempt(sigma, TuneOutcome.RATIO_TOO_LARGE, ratio))
+            if bound is None:
+                bound = reconstruction_ratio(handle, best_fit(handle), ls_residual=ls_residual)
+                if bound >= _TUNER_RATIO_LIMIT:
+                    raise TuningFailed(
+                        f"no bandwidth can pass: the best feasible fit has reconstruction "
+                        f"ratio {bound:.4g}, not below {_TUNER_RATIO_LIMIT:g}"
+                    )
             sigma = _TUNER_GROWTH * sigma
         else:
             attempts.append(TuningAttempt(sigma, TuneOutcome.DIVERGED, None))
@@ -542,6 +542,9 @@ def tune_sigma(handle: ProblemHandle, algorithm: str, config: SolverConfig):
     the solve converges but reconstructs poorly or when it diverges at a
     moderate sigma, and restarts from sigma0 / p after divergence at an
     overestimated sigma. Returns the accepted bandwidth and the attempt trace.
+    Raises TuningFailed after 60 attempts, or at the first attempt that
+    reconstructs poorly when the problem's best feasible fit (fcls for fc,
+    NNLS for sp) already has reconstruction ratio >= 2.
     """
     if algorithm not in _PROBLEMS:
         raise InvalidInput("algorithm must be 'fc' or 'sp'")
@@ -556,7 +559,7 @@ def _solve(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_i
         return X, report
     if config.sigma is None:
         raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
-    runner, default_init = _PROBLEMS[algorithm]
+    runner, default_init, _ = _PROBLEMS[algorithm]
     if X0 is None:
         X0 = default_init(handle, None)
     return runner(handle, config, config.sigma, X0, on_iteration)

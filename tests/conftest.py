@@ -3,8 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `pytest --hypothesis-profile=ci` runs every property test on a fixed sequence
+# of examples, so a run cannot fail on a draw no earlier run made.
+settings.register_profile("ci", derandomize=True, database=None)
 
 from unmix import validate_problem
 

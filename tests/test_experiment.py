@@ -73,6 +73,17 @@ class TestConfig:
         assert err.value.line == CFG.count("\n") + 1
 
 
+    def test_line_numbers_count_a_form_feed_as_the_matrix_reader_does(self, tmp_path):
+        # every text file is numbered as str.splitlines() splits it, so the
+        # form feed ending the comment starts a line of its own
+        text = "# grid of three\x0c\n" + CFG + "b_range = 1,2,3\n"
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            parse_experiment_config(path)
+        assert err.value.line == len(text.splitlines()) == CFG.count("\n") + 3
+
+
 def _spec(**changes):
     """The SyntheticSpec of a CFG cell with `changes` applied."""
     return SyntheticSpec(**{"model": "lmm", "R": 3, "L": 30, "T": 16, "snr_db": 25.0, **changes})

@@ -7,6 +7,7 @@ from unmix import (
     SolverConfig,
     Termination,
     TuneOutcome,
+    TuningFailed,
     admm_generic,
     cusal_fc,
     cusal_sp,
@@ -267,13 +268,8 @@ class TestHalfQuadraticStep:
                 assert len(calls) == 2
                 np.testing.assert_array_equal(out, x - d)
 
-    @pytest.mark.parametrize(
-        "solve, kernel_gradient", [(cusal_fc, "gradient_reduced_f1"), (cusal_sp, "gradient_full")],
-        ids=["fc", "sp"],
-    )
-    def test_direction_uses_the_band_weights_at_its_own_point(
-        self, solve, kernel_gradient, rng, monkeypatch
-    ):
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_direction_uses_the_band_weights_at_its_own_point(self, solve, rng, monkeypatch):
         from unmix import band_weights
         from unmix.correntropy import reconstruct_full
 
@@ -282,13 +278,13 @@ class TestHalfQuadraticStep:
         config = SolverConfig(sigma=sigma, rho=0.7, lam=1e-3, max_outer_iters=3)
         seen = self.captured_subproblems(monkeypatch, solve, h, config)
         passes = []
-        real = getattr(solvers, kernel_gradient)
+        real = correntropy._kernel
 
         def counted(*args, **kwargs):
             passes.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, kernel_gradient, counted)
+        monkeypatch.setattr(correntropy, "_kernel", counted)
         for grad, obj, x_init, direction in seen:
             hq = direction.__self__
             for x in (x_init, x_init + 0.2 * rng.standard_normal(x_init.shape)):
@@ -297,12 +293,14 @@ class TestHalfQuadraticStep:
                 else:
                     X_full = x.reshape(h.T, h.R).T
                 expected = band_weights(h, X_full, sigma)
-                # after a gradient at x, the direction reuses that kernel pass
+                passes.clear()
+                # the gradient at x makes one kernel pass, and the direction
+                # there reuses it
                 g = grad(x)
                 direction(x, g)
                 assert len(passes) == 1
                 reused = hq.weights
-                # at a point with no gradient yet, it evaluates the kernel there
+                # at a point with no pass yet, it evaluates the kernel there
                 direction(x + 0.1, g)
                 assert len(passes) == 2
                 direction(x, g)
@@ -317,7 +315,6 @@ class TestHalfQuadraticStep:
                         assert np.max(np.abs(weights - expected)) <= 1e-15 * np.max(expected)
                     else:
                         np.testing.assert_array_equal(weights, expected)
-                passes.clear()
 
     @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
     def test_one_kernel_pass_per_trial_point_plus_one_per_run(self, solve, monkeypatch):
@@ -529,6 +526,26 @@ class TestTuner:
         assert report.sigma_used == sigma == trace.sigma_final
         _, fixed = solve(h, SolverConfig(sigma=sigma, lam=1e-3))
         assert fixed.tuning is None
+
+    def test_stops_at_once_when_the_best_feasible_fit_reconstructs_poorly(self, monkeypatch):
+        # every cusal-fc result lies on the simplex, where fcls has the
+        # smallest residual; here its reconstruction ratio is 2.063
+        spec = SyntheticSpec(model="ppnmm", R=4, L=60, T=50, snr_db=30.0, n_corrupt=8, seed=3)
+        M = gen_endmembers(4, 60, seed=0)
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        assert reconstruction_ratio(h, solve_fcls(h)) >= 2.0
+        runs = []
+        real = solvers.admm_generic
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "admm_generic", counted)
+        with pytest.raises(TuningFailed, match="best feasible fit"):
+            cusal_fc(h, SolverConfig(sigma_auto=True, max_outer_iters=30))
+        assert len(runs) == 1
 
     def test_accepted_sigma_satisfies_ratio(self, rng):
         spec = SyntheticSpec(model="lmm", R=3, L=50, T=40, snr_db=30.0, n_corrupt=10, seed=31)
