@@ -12,6 +12,7 @@ residual norm is not finite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable
 
@@ -25,6 +26,7 @@ from .core import (
     NonFiniteIterate,
     ProblemHandle,
     SingularNormalEquations,
+    _dot,
     _project_columns_to_simplex,
     _shrink_nonnegative,
     project_nonnegative,
@@ -107,10 +109,12 @@ def _admm(
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
     # prox input V = X - U (the prox overwrites it with the next Z, and the
-    # previous Z's buffer takes its place), and S for Z + U and then for the
-    # differences whose norms are the residuals.
-    X, V, S = np.empty((R, T)), np.empty((R, T)), np.empty((R, T))
-    s = S.ravel()
+    # previous Z's buffer takes its place), S = D[0] for Z + U and then for
+    # X - V, S_dual = D[1] for V - Z (the differences whose norms are the
+    # residuals), and D2 for their squares, both summed in one reduction.
+    X, V = np.empty((R, T)), np.empty((R, T))
+    D, D2 = np.empty((2, R, T)), np.empty((2, R, T))
+    S, S_dual = D
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
     for _ in range(_BASELINE_MAX_ITERS):
         np.add(Z, U, out=S)
@@ -121,15 +125,13 @@ def _admm(
             X -= np.outer(q, nu)
         np.subtract(X, U, out=V)
         prox(V, rho)
-        # the residual norms are sqrt(s . s) of the raveled differences,
-        # which is what np.linalg.norm computes
         np.subtract(X, V, out=S)
         U -= S
-        primal = np.sqrt(s.dot(s))
-        np.subtract(V, Z, out=S)
-        dual = rho * np.sqrt(s.dot(s))
+        np.subtract(V, Z, out=S_dual)
+        squares = _dot(D, D, out=D2, axis=(1, 2))
+        primal, dual = math.sqrt(squares[0]), rho * math.sqrt(squares[1])
         Z, V = V, Z
-        if not (np.isfinite(primal) and np.isfinite(dual)):
+        if not (math.isfinite(primal) and math.isfinite(dual)):
             # a non-finite entry of X or Z makes a residual non-finite, but
             # so does the norm of a finite iterate far from the origin
             if not (np.isfinite(X).all() and np.isfinite(Z).all()):

@@ -81,9 +81,9 @@ def _add_algorithms(sub):
                 "--max-inner-iters",
                 type=int,
                 default=SolverConfig.max_inner_iters,
-                help="half-quadratic steps per x-update "
-                f"(default {SolverConfig.max_inner_iters:g}; "
-                "inner tolerance 1e-6 relative gradient norm)",
+                help="cap on the half-quadratic steps per x-update "
+                f"(default {SolverConfig.max_inner_iters:g}: majorized ADMM; "
+                "the steps also stop at 1e-6 relative gradient norm)",
             )
 
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
         epilog=f"Solver defaults: rho={SolverConfig.rho:g}, "
-        f"{SolverConfig.max_inner_iters:g} inner and "
+        f"{SolverConfig.max_inner_iters:g} half-quadratic step per x-update (majorized ADMM), "
         f"{SolverConfig.max_outer_iters:g} outer iterations, "
         "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: each inner "
         "step minimizes the weighted least-squares majorizer of the x-subproblem "
@@ -166,9 +166,13 @@ def _write_report(path, report, handle, X) -> None:
     """The report file: header lines, then the per-iteration TSV. A tuned solve
     takes its reconstruction ratio from the accepted attempt and lists every
     attempt as `# tuner_attempt <sigma> <outcome> <ratio>` (ratio nan for a
-    diverged attempt, which is not checked)."""
+    diverged attempt, which is not checked); a fixed-bandwidth solve computes
+    it against the least-squares residual of its warm start when it has one."""
     attempts = () if report.tuning is None else report.tuning.attempts
-    ratio = attempts[-1].ratio if attempts else solvers.reconstruction_ratio(handle, X)
+    ratio = (
+        attempts[-1].ratio if attempts
+        else solvers.reconstruction_ratio(handle, X, ls_residual=report.ls_residual)
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# termination_reason {report.termination_reason.value}\n")
         fh.write(f"# iterations_run {report.iterations_run}\n")

@@ -7,6 +7,7 @@ functions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -156,8 +157,12 @@ class SolverConfig:
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
                     residual norms below sqrt(R*T) times these.
-    max_*_iters     outer iteration cap; half-quadratic steps per x-update
-                    (integers).
+    max_outer_iters outer iteration cap (integer).
+    max_inner_iters majorize-minimize steps per x-update (integer). The
+                    default 1 is majorized ADMM: every x-update minimizes the
+                    x-subproblem's majorizer at the previous iterate once.
+                    Larger values take further steps from the same x-update,
+                    until the gradient tolerance or the cap.
     sigma_auto      run the bandwidth tuner instead of using `sigma`.
 
     The x-update's step and tolerance are fixed values, not settings: each
@@ -173,7 +178,7 @@ class SolverConfig:
     eps_primal: float = 1e-5
     eps_dual: float = 1e-5
     max_outer_iters: int = 1000
-    max_inner_iters: int = 50
+    max_inner_iters: int = 1
     sigma_auto: bool = False
 
     def __post_init__(self):
@@ -211,6 +216,9 @@ class SolverReport:
     cusal_fc the kernel term of the reduced fit, equal to objective_C at the
     full x to rounding. tuning is the bandwidth search's TuningTrace when the
     run is the accepted attempt of a sigma_auto solve, None otherwise.
+    ls_residual is the Frobenius norm of the least-squares residual when the
+    solve fitted least squares (a sigma_auto solve, or the default warm start
+    of cusal_fc), None otherwise.
     """
 
     iterations_run: int
@@ -220,6 +228,7 @@ class SolverReport:
     termination_reason: Termination
     sigma_used: Optional[float] = None
     tuning: Optional[object] = None
+    ls_residual: Optional[float] = None
 
     def __post_init__(self):
         n = self.iterations_run
@@ -291,6 +300,24 @@ def _shrink_nonnegative(v: np.ndarray, b: float) -> np.ndarray:
     the sign and magnitude passes; returns v."""
     np.subtract(v, b, out=v)
     return np.maximum(v, 0.0, out=v)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None, axis=None):
+    """The dot product of two equal-shape arrays over all their entries, or
+    the dot products over the given axes, as numpy's pairwise sums of their
+    products (written into out when given).
+
+    BLAS splits a long dot product (OpenBLAS: over 10,000 entries) across its
+    threads, so np.dot and np.linalg.norm round differently at different BLAS
+    thread counts; these sums round the same at any. An array dotted with
+    itself is squared, which numpy does faster than multiplying it by itself."""
+    products = np.square(a, out=out) if a is b else np.multiply(a, b, out=out)
+    return np.add.reduce(products, axis=axis)
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Euclidean (Frobenius) norm of a through _dot."""
+    return math.sqrt(_dot(a, a))
 
 
 def validate_problem(Y, M) -> ProblemHandle:

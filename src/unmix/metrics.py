@@ -15,6 +15,7 @@ from .core import (
     InvalidInput,
     UndefinedMetric,
     ZeroNormSpectrum,
+    _norm,
 )
 
 # Each metric's label, and whether a lower value is better.
@@ -73,7 +74,7 @@ def _log2(p) -> int:
 def rmse(X_true, X_hat) -> float:
     """Root mean square abundance error: Frobenius distance over sqrt(R*T)."""
     A, B = _pair(X_true, X_hat)
-    return float(np.linalg.norm(A - B) / math.sqrt(A.size))
+    return _norm(A - B) / math.sqrt(A.size)
 
 
 def sre_db(X_true, X_hat) -> float:

@@ -22,11 +22,19 @@ with all T pixels as right-hand sides makes one step. The steps run in
 inner_gradient_descent at unit length; a step that fails its sufficient-decrease
 test, which only rounding could cause, ends the x-update at the point before it.
 
+An x-update takes config.max_inner_iters steps at most, one by default. One
+step from the previous iterate is majorized ADMM (Li, Sun & Toh, SIAM J.
+Optim. 2016; Hong, Luo & Razaviyayn, SIAM J. Optim. 2016, for the nonconvex
+case): the x-update minimizes the subproblem's majorizer exactly rather than
+the subproblem. On the tuned solves measured, more steps changed no outer
+iteration count.
+
 A step costs one kernel pass (residual, band energies, band weights): the
 objective's at the trial point. The run keeps the last pass with its point, so
 the gradient there, W, the next x-update's start value and the report's
 objective trace at the x-update's result all read it; a run evaluates the
-kernel once at its warm start and once per trial point. The passes build their
+kernel once at its warm start and once per trial point, which with one step
+per x-update is at most once per outer iteration. The passes build their
 residual and its squares in a workspace of two L x T arrays that the run owns,
 so they allocate no L x T array. The trace is the kernel term at the free rows
 of the iterate: for the fully-constrained solver the kernel term of the reduced
@@ -59,6 +67,8 @@ from .core import (
     SolverReport,
     Termination,
     TuningFailed,
+    _dot,
+    _norm,
     _project_columns_to_simplex,
     _shrink_nonnegative,
     project_nonnegative,
@@ -141,11 +151,11 @@ def stop_check(state_prev: AdmmState, state_next: AdmmState, config: SolverConfi
     n = state_next.x.size
     eps1 = np.sqrt(n) * config.eps_primal
     eps2 = np.sqrt(n) * config.eps_dual
-    primal_next = float(np.linalg.norm(state_next.x - state_next.z))
-    dual_next = config.rho * float(np.linalg.norm(state_next.z - state_prev.z))
+    primal_next = _norm(state_next.x - state_next.z)
+    dual_next = config.rho * _norm(state_next.z - state_prev.z)
     if primal_next <= eps1 and dual_next <= eps2:
         return Termination.RESIDUALS_SMALL
-    primal_prev = float(np.linalg.norm(state_prev.x - state_prev.z))
+    primal_prev = _norm(state_prev.x - state_prev.z)
     if primal_next > primal_prev:
         return Termination.PRIMAL_INCREASED
     if state_next.k >= config.max_outer_iters:
@@ -204,8 +214,8 @@ def admm_generic(
         z_new = np.asarray(g_prox(x_new - state.u), dtype=float)
         u_new = state.u - (x_new - z_new)
         nxt = AdmmState(x=x_new, z=z_new, u=u_new, k=state.k + 1)
-        primal_hist.append(float(np.linalg.norm(x_new - z_new)))
-        dual_hist.append(config.rho * float(np.linalg.norm(z_new - state.z)))
+        primal_hist.append(_norm(x_new - z_new))
+        dual_hist.append(config.rho * _norm(z_new - state.z))
         obj_hist.append(float(objective_fn(x_new)) if objective_fn is not None else float("nan"))
         if on_iteration is not None:
             on_iteration(state, nxt)
@@ -260,10 +270,10 @@ def inner_gradient_descent(
         g = np.asarray(grad_fn(x), dtype=float)
         if not np.all(np.isfinite(g)):
             raise NonFiniteIterate("inner gradient is non-finite")
-        if float(np.linalg.norm(g)) <= _INNER_TOL * (1.0 + float(np.linalg.norm(x))):
+        if _norm(g) <= _INNER_TOL * (1.0 + _norm(x)):
             break
         d = np.asarray(direction(x, g), dtype=float)
-        slope = float(g @ d)
+        slope = float(_dot(g, d))
         if not np.isfinite(slope):
             raise NonFiniteIterate("inner descent direction is non-finite")
         x_try = x - d
@@ -297,9 +307,10 @@ class _HalfQuadratic:
     With D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
     rho pull(D), pull = E' the adjoint of full's linear part E, and the
     coupling's curvature per pixel is rho E'E. x_update(x_prev, z, u)
-    minimizes it with inner_gradient_descent from the free rows of x_prev
-    along d = P^-1 g, P = A' W A / sigma^2 + rho E'E, and returns full of the
-    result, stacked. rho is read once, when the run builds its x-update.
+    takes up to max_inner_iters steps of inner_gradient_descent (one by
+    default) from the free rows of x_prev along d = P^-1 g,
+    P = A' W A / sigma^2 + rho E'E, and returns full of the result, stacked.
+    rho is read once, when the run builds its x-update.
 
     kernel_objective(Xi, out) returns the kernel term at Xi with the
     ResidualCache of its kernel pass, and kernel_gradient(Xi, cache, out) the
@@ -430,26 +441,27 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     return AbundanceMatrix(_mat(state.z, handle.R, handle.T), tag="nonnegative"), report
 
 
-# Each problem's runner, the default warm start of its runs, fixed-bandwidth
-# or tuned, given the least-squares abundances when the caller already has them
-# (None otherwise), and its best feasible fit. The fc start is their projection
-# onto the simplex. The sp start is the nonnegative least-squares fit: feasible,
-# and its residual stays on the least-squares scale, which keeps the kernel
-# weights alive at the data-driven starting bandwidth. Clipping the plain LS
-# solution can land far outside the kernel width when the endmembers are
-# strongly correlated. The best feasible fit minimizes the residual over the
-# problem's feasible set (the simplex for fc, the first orthant for sp), so no
-# result of the problem reconstructs better.
+# Each problem's runner, whether the default warm start of its runs,
+# fixed-bandwidth or tuned, is built from the least-squares abundances, that
+# warm start given them (None when it is not), and its best feasible fit. The
+# fc start is their projection onto the simplex. The sp start is the
+# nonnegative least-squares fit: feasible, and its residual stays on the
+# least-squares scale, which keeps the kernel weights alive at the data-driven
+# starting bandwidth. Clipping the plain LS solution can land far outside the
+# kernel width when the endmembers are strongly correlated. The best feasible
+# fit minimizes the residual over the problem's feasible set (the simplex for
+# fc, the first orthant for sp), so no result of the problem reconstructs
+# better.
 _PROBLEMS = {
     "fc": (
         _run_cusal_fc,
-        lambda h, X_ls: _project_columns_to_simplex(
-            baselines.solve_ls(h).data if X_ls is None else X_ls
-        ),
+        True,
+        lambda h, X_ls: _project_columns_to_simplex(X_ls),
         lambda h: baselines.solve_fcls(h),
     ),
     "sp": (
         _run_cusal_sp,
+        False,
         lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0).data,
         lambda h: baselines.solve_sunsal_sparse(h, 0.0),
     ),
@@ -459,7 +471,7 @@ _PROBLEMS = {
 def _ls_fit(handle: ProblemHandle) -> tuple[np.ndarray, float]:
     """Least-squares abundances and the Frobenius norm of their residual."""
     X_ls = baselines.solve_ls(handle).data
-    return X_ls, float(np.linalg.norm(handle.Y - handle.M @ X_ls))
+    return X_ls, _norm(handle.Y - handle.M @ X_ls)
 
 
 def reconstruction_ratio(handle: ProblemHandle, X, *, ls_residual: Optional[float] = None) -> float:
@@ -470,16 +482,16 @@ def reconstruction_ratio(handle: ProblemHandle, X, *, ls_residual: Optional[floa
     reported as 0 for an (essentially) exact X and infinity otherwise.
     """
     Xdata = X.data if isinstance(X, AbundanceMatrix) else np.asarray(X, dtype=float)
-    num = float(np.linalg.norm(handle.Y - handle.M @ Xdata))
+    num = _norm(handle.Y - handle.M @ Xdata)
     denom = _ls_fit(handle)[1] if ls_residual is None else ls_residual
     if denom > 0:
         return num / denom
-    atol = 1e-12 * max(1.0, float(np.linalg.norm(handle.Y)))
+    atol = 1e-12 * max(1.0, _norm(handle.Y))
     return 0.0 if num <= atol else float("inf")
 
 
 def _sigma_floor(handle: ProblemHandle) -> float:
-    return 1e-6 * max(1.0, float(np.linalg.norm(handle.Y)) / np.sqrt(handle.L * handle.T))
+    return 1e-6 * max(1.0, _norm(handle.Y) / np.sqrt(handle.L * handle.T))
 
 
 def _initial_sigma(handle: ProblemHandle, ls_residual: Optional[float] = None) -> tuple[float, float]:
@@ -491,7 +503,7 @@ def _initial_sigma(handle: ProblemHandle, ls_residual: Optional[float] = None) -
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
-    runner, default_init, best_fit = _PROBLEMS[algorithm]
+    runner, _, default_init, best_fit = _PROBLEMS[algorithm]
     # one least-squares fit serves the warm start, sigma0 and every ratio check
     X_ls, ls_residual = _ls_fit(handle)
     if X0 is None:
@@ -511,7 +523,7 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
                 trace = TuningTrace(
                     sigma0=sigma0_raw, attempts=tuple(attempts), p=p, sigma_final=sigma
                 )
-                return sigma, trace, X_hat, replace(report, tuning=trace)
+                return sigma, trace, X_hat, replace(report, tuning=trace, ls_residual=ls_residual)
             attempts.append(TuningAttempt(sigma, TuneOutcome.RATIO_TOO_LARGE, ratio))
             if bound is None:
                 bound = reconstruction_ratio(handle, best_fit(handle), ls_residual=ls_residual)
@@ -559,10 +571,14 @@ def _solve(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_i
         return X, report
     if config.sigma is None:
         raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
-    runner, default_init, _ = _PROBLEMS[algorithm]
+    runner, from_ls, default_init, _ = _PROBLEMS[algorithm]
+    # a warm start built from the least-squares fit hands its residual to the
+    # report, so the reconstruction ratio needs no second fit
+    fit = _ls_fit(handle) if X0 is None and from_ls else None
     if X0 is None:
-        X0 = default_init(handle, None)
-    return runner(handle, config, config.sigma, X0, on_iteration)
+        X0 = default_init(handle, None if fit is None else fit[0])
+    X, report = runner(handle, config, config.sigma, X0, on_iteration)
+    return X, report if fit is None else replace(report, ls_residual=fit[1])
 
 
 def cusal_fc(
@@ -574,8 +590,9 @@ def cusal_fc(
 ):
     """Fully-constrained correntropy unmixing.
 
-    The x-update minimizes the reduced objective plus the scaled quadratic
-    coupling by warm-started half-quadratic steps, each one solve of the
+    The x-update takes a half-quadratic step on the reduced objective plus
+    the scaled quadratic coupling from the previous iterate (at most
+    config.max_inner_iters steps, one by default), each one solve of the
     (R-1) x (R-1) matrix Mbar' W Mbar / sigma^2 + rho (I + 11') (Mbar the
     other endmembers minus the last one, W the band weights of the reduced
     fit's kernel pass at the iterate), reconstructs the full vector (unit
@@ -596,7 +613,8 @@ def cusal_sp(
 ):
     """Sparsity-promoting correntropy unmixing (nonnegativity plus l1 penalty).
 
-    The x-update takes warm-started half-quadratic steps on the full variables,
+    The x-update takes a half-quadratic step on the full variables from the
+    previous iterate (at most config.max_inner_iters steps, one by default),
     each one solve of the R x R matrix M' W M / sigma^2 + rho I (W the band
     weights of the kernel pass at the iterate); the z-update
     soft-thresholds by lam/rho and projects onto the first orthant in one

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from unmix import (
     tune_sigma,
     validate_problem,
 )
-from unmix import solvers
+import unmix
+from unmix import baselines, solvers
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
 from unmix.fileio import format_float, read_matrix, read_truth_meta, write_matrix
 from unmix.solvers import ALGORITHMS
@@ -186,6 +191,28 @@ class TestUnmixCommands:
             # this cube makes the sparse tuner move on after a divergence
             assert [a.outcome.value for a in trace.attempts] == ["diverged", "converged"]
 
+    def test_fixed_bandwidth_report_fits_least_squares_once(self, small_cube, tmp_path, monkeypatch):
+        ls_calls = []
+        real_ls = baselines.solve_ls
+
+        def counted_ls(*args, **kwargs):
+            ls_calls.append(1)
+            return real_ls(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "solve_ls", counted_ls)
+        code = run_cli(
+            "cusal-fc", small_cube / "Y.txt", small_cube / "M.txt", "--sigma", "0.1",
+            "--out", tmp_path / "X.txt", "--report-path", tmp_path / "report.tsv",
+        )
+        assert code == EXIT_OK
+        # the warm start's fit also gives the report's reconstruction ratio
+        assert len(ls_calls) == 1
+        monkeypatch.setattr(baselines, "solve_ls", real_ls)
+        h = validate_problem(read_matrix(small_cube / "Y.txt"), read_matrix(small_cube / "M.txt"))
+        expected = solvers.reconstruction_ratio(h, read_matrix(tmp_path / "X.txt"))
+        lines = (tmp_path / "report.tsv").read_text().splitlines()
+        assert f"# reconstruction_ratio {format_float(expected)}" in lines
+
     def test_cusal_sp_output_nonnegative(self, small_cube, tmp_path):
         code = run_cli(
             "cusal-sp", small_cube / "Y.txt", small_cube / "M.txt",
@@ -229,6 +256,43 @@ class TestUnmixCommands:
         write_matrix(tmp_path / "M.txt", rng.uniform(size=(5, 2)))
         code = run_cli("ls", tmp_path / "Y.txt", tmp_path / "M.txt", "--out", tmp_path / "X.txt")
         assert code == EXIT_INPUT
+
+
+class TestBlasThreadCount:
+    def test_outputs_are_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # L * T = 12,000 entries: BLAS splits dot products this long across
+        # its threads, which moved the least-squares residual norm, and with
+        # it the tuned bandwidth and every abundance, in the last digit
+        cube = tmp_path / "cube"
+        assert run_cli(
+            "generate", "--R", 3, "--L", 100, "--T", 120, "--snr", 30, "--corrupt", 10,
+            "--seed", 1, "--out-dir", cube,
+        ) == EXIT_OK
+        src = str(Path(unmix.__file__).resolve().parent.parent)
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            script = (
+                "import sys\n"
+                "from unmix.cli import main\n"
+                "y, m, out = sys.argv[1:]\n"
+                "sys.exit(main(['cusal-fc', y, m, '--sigma-auto', '--out', out + '/X_cusal.txt',"
+                " '--report-path', out + '/report.tsv'])"
+                " or main(['fcls', y, m, '--out', out + '/X_fcls.txt']))\n"
+            )
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONPATH=path)
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-c", script, str(cube / "Y.txt"), str(cube / "M.txt"), str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs[threads] = {
+                name: (out / name).read_bytes() for name in ("X_cusal.txt", "report.tsv", "X_fcls.txt")
+            }
+        for name, data in outputs["1"].items():
+            assert outputs["2"][name] == data, name
 
 
 class TestEval:

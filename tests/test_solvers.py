@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,89 @@ class TestHalfQuadraticStep:
             direction=lambda x, g: np.linalg.solve(H, g),
         )
         np.testing.assert_allclose(out, np.linalg.solve(H, b), rtol=1e-10, atol=1e-12)
+
+
+# cusal_fc and cusal_sp on a small corrupted cube (R=3, L=30, T=8, SNR 30,
+# 4 corrupted bands, cube seed 1, endmember seed 0) at sigma 0.05, lam 1e-3,
+# 40 outer iterations and 50 half-quadratic steps per x-update, as the
+# multi-step x-update computed them when 50 steps were the default: 3
+# iterations to residuals_small each. On the machine that recorded them they
+# are reproduced bit for bit; the tolerance only admits another BLAS build's
+# rounding.
+FIFTY_STEP_ABUNDANCES = {
+    "fc": [
+        0.1552308623655552, 0.15376034484843512, 0.46861949981819234, 0.3773743819091039,
+        0.6216048391773545, 0.10541887551122578, 0.15508670009218578, 0.15034272614300168,
+        0.0492498947930939, 0.05973501286123437, 0.508252821811716, 0.5135730440523224,
+        0.0860784765692804, 0.5900101415034883, 0.6083354336749129, 0.4962478794917645,
+        0.7955192428413509, 0.7865046422903306, 0.023127678370091553, 0.10905257403857371,
+        0.2923166842533651, 0.30457098298528595, 0.23657786623290122, 0.3534093943652338,
+    ],
+    "sp": [
+        0.15828727942279894, 0.15516804667258513, 0.4693119883983027, 0.3779840575264564,
+        0.6205938919659767, 0.10917426973317156, 0.15615962903766473, 0.1512866846762847,
+        0.040352991581426544, 0.05432957819415209, 0.506672347498228, 0.5107580552450969,
+        0.0891368525790193, 0.5742649872854484, 0.6071310047250305, 0.4945400378885759,
+        0.7916006849430401, 0.7841831647016309, 0.022170039512126916, 0.10835424851146531,
+        0.2938117391459239, 0.2988319202444613, 0.23597788543644904, 0.3528070410727635,
+    ],
+}
+
+
+class TestOneStepDefault:
+    SOLVES = {"fc": cusal_fc, "sp": cusal_sp}
+
+    @staticmethod
+    def cube(R, L, T, n_corrupt, seed):
+        M = gen_endmembers(R, L, seed=0)
+        spec = SyntheticSpec(model="lmm", R=R, L=L, T=T, snr_db=30.0, n_corrupt=n_corrupt, seed=seed)
+        Y, _ = gen_cube(M, spec)
+        return validate_problem(Y, M)
+
+    @pytest.mark.parametrize("algorithm", ["fc", "sp"])
+    def test_one_kernel_pass_per_outer_iteration_plus_one_per_run(self, algorithm, monkeypatch):
+        h = self.cube(3, 60, 40, 8, 1)
+        passes = []
+        real_kernel = correntropy._kernel
+
+        def counted_kernel(*args, **kwargs):
+            passes.append(1)
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(correntropy, "_kernel", counted_kernel)
+        _, report = self.SOLVES[algorithm](h, SolverConfig(sigma=0.05, lam=1e-3))
+        assert report.iterations_run > 5
+        # the warm start's pass, then the trial point of every x-update: its
+        # start, gradient and direction reuse the previous pass (an x-update
+        # that starts within the gradient tolerance would take no step; none
+        # does here)
+        assert len(passes) == 1 + report.iterations_run
+
+    @pytest.mark.parametrize("algorithm", ["fc", "sp"])
+    def test_fifty_steps_reproduce_the_multi_step_x_update(self, algorithm):
+        h = self.cube(3, 30, 8, 4, 1)
+        config = SolverConfig(sigma=0.05, lam=1e-3, max_outer_iters=40, max_inner_iters=50)
+        X, report = self.SOLVES[algorithm](h, config)
+        expected = np.array(FIFTY_STEP_ABUNDANCES[algorithm]).reshape(h.R, h.T)
+        assert report.iterations_run == 3
+        assert report.termination_reason == Termination.RESIDUALS_SMALL
+        np.testing.assert_allclose(X.data, expected, rtol=0, atol=1e-13)
+        # the knob is live: one step per x-update lands elsewhere
+        X1, _ = self.SOLVES[algorithm](h, replace(config, max_inner_iters=1))
+        assert np.max(np.abs(X1.data - expected)) > 1e-9
+
+    @pytest.mark.parametrize("algorithm", ["fc", "sp"])
+    def test_one_step_matches_fifty_on_a_corrupted_grid_cube(self, algorithm):
+        # the grid-fc benchmark's cube with 20 corrupted bands, tuned at its
+        # 30-iteration cap
+        h = self.cube(3, 120, 200, 20, 1)
+        config = SolverConfig(sigma_auto=True, lam=1e-3, max_outer_iters=30)
+        X1, one = self.SOLVES[algorithm](h, config)
+        X50, fifty = self.SOLVES[algorithm](h, replace(config, max_inner_iters=50))
+        assert one.iterations_run == fifty.iterations_run
+        assert one.termination_reason == fifty.termination_reason
+        assert one.sigma_used == fifty.sigma_used
+        np.testing.assert_allclose(X1.data, X50.data, rtol=0, atol=1e-5)
 
 
 class TestSimplexProjection:
