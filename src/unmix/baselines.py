@@ -41,22 +41,32 @@ _BASELINE_MAX_ITERS = 30000
 def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
     """Unconstrained least-squares abundances via an economy QR of M.
 
-    Q'Y is summed band by band in a fixed order, and the triangular system is
-    back-substituted one whole row of X at a time. Both are element-wise
-    array operations, so every pixel goes through the same sequence of
-    floating-point operations whatever the number of pixels: solving the
-    matrix problem and solving pixel by pixel give bit-identical results.
+    Q'Y is summed band by band in a fixed order, each band's product added to
+    X in place from a buffer of at most max(2**16, R*T) products, and the
+    triangular system is back-substituted one whole row of X at a time. Both
+    are element-wise array operations, so every pixel goes through the same
+    sequence of floating-point operations whatever the number of pixels:
+    solving the matrix problem and solving pixel by pixel give bit-identical
+    results. A reduction over the bands would not: numpy sums rows of one
+    entry (R*T = 1) pairwise.
     """
     Q, Rfac = scipy.linalg.qr(handle.M, mode="economic")
     diag = np.abs(np.diag(Rfac))
     if diag.min() <= diag.max() * 1e-13:
         raise SingularNormalEquations("M'M is numerically singular")
+    L, R, T = handle.L, handle.R, handle.T
+    bands = max(1, 2**16 // (R * T))
+    buf = np.empty((min(bands, L), R, T))
     # X starts as Q'Y and is overwritten row by row, last row first
-    X = np.zeros((handle.R, handle.T))
-    for q_l, y_l in zip(Q, handle.Y):
-        X += np.multiply.outer(q_l, y_l)
-    for i in reversed(range(handle.R)):
-        for j in range(i + 1, handle.R):
+    X = np.zeros((R, T))
+    for a in range(0, L, bands):
+        n = min(bands, L - a)
+        np.multiply(Q[a : a + n, :, None], handle.Y[a : a + n, None, :], out=buf[:n])
+        for k in range(n):
+            X += buf[k]
+    del buf  # freed before AbundanceMatrix copies X
+    for i in reversed(range(R)):
+        for j in range(i + 1, R):
             X[i] -= Rfac[i, j] * X[j]
         X[i] /= Rfac[i, i]
     return AbundanceMatrix(X)
@@ -75,12 +85,14 @@ def _admm(
     handle: ProblemHandle,
     prox: Callable[[np.ndarray, float], np.ndarray],
     sum_to_one: bool,
+    X_ls=None,
 ):
     """Per-pixel ADMM for min ||y - M x||^2 + g(z) subject to x = z.
 
     prox(v, rho) overwrites v with the proximal map of g / rho at v; with
     sum_to_one the quadratic update is corrected onto the hyperplane 1'x = 1
-    through one KKT correction of the unconstrained solve. Returns the last
+    through one KKT correction of the unconstrained solve. Z starts at the
+    clipped least-squares abundances X_ls (fitted when None). Returns the last
     (X, Z) iterates and whether the residuals fell below tolerance before the
     cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
@@ -105,7 +117,7 @@ def _admm(
         if abs(qsum) < 1e-300:
             raise SingularNormalEquations("sum-to-one correction is degenerate")
 
-    Z = project_nonnegative(solve_ls(handle).data)
+    Z = project_nonnegative(solve_ls(handle).data if X_ls is None else X_ls)
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
     # prox input V = X - U (the prox overwrites it with the next Z, and the
@@ -158,17 +170,18 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     return AbundanceMatrix(X, tag="fully_constrained")
 
 
-def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
+def solve_sunsal_sparse(handle: ProblemHandle, lam: float, *, _X_ls=None) -> AbundanceMatrix:
     """Per-pixel minimizer of ||y - M x||^2 + lam * ||x||_1 subject to x >= 0.
 
     Same ADMM loop as solve_fcls without the sum-to-one correction; the
     proximal step is soft thresholding followed by projection. lam = 0 gives
-    nonnegative least squares.
+    nonnegative least squares. _X_ls, the least-squares abundances when the
+    caller has them, spares the fit the ADMM starts from.
     """
     if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
         raise InvalidInput("lam must be a nonnegative finite scalar")
     _, Z, converged = _admm(
-        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False
+        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False, X_ls=_X_ls
     )
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)

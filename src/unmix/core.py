@@ -217,8 +217,8 @@ class SolverReport:
     full x to rounding. tuning is the bandwidth search's TuningTrace when the
     run is the accepted attempt of a sigma_auto solve, None otherwise.
     ls_residual is the Frobenius norm of the least-squares residual when the
-    solve fitted least squares (a sigma_auto solve, or the default warm start
-    of cusal_fc), None otherwise.
+    solve fitted least squares (a sigma_auto solve, or a default warm start),
+    None otherwise.
     """
 
     iterations_run: int

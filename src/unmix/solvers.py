@@ -36,8 +36,10 @@ objective trace at the x-update's result all read it; a run evaluates the
 kernel once at its warm start and once per trial point, which with one step
 per x-update is at most once per outer iteration. The passes build their
 residual and its squares in a workspace of two L x T arrays that the run owns,
-so they allocate no L x T array. The trace is the kernel term at the free rows
-of the iterate: for the fully-constrained solver the kernel term of the reduced
+so they allocate no L x T array. The full matrix and the coupling residual
+are built once per point too, and the outer loop's stopping rule reads the two
+residual norms of its report. The trace is the kernel term at the free rows of
+the iterate: for the fully-constrained solver the kernel term of the reduced
 fit, equal to objective_C at the full iterate to rounding; for the
 sparsity-promoting solver objective_C bit for bit.
 
@@ -50,6 +52,7 @@ mutable state, so distinct instances on distinct problems can run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -148,17 +151,18 @@ def stop_check(state_prev: AdmmState, state_next: AdmmState, config: SolverConfi
     stacked coordinates. Precedence: small residuals, then primal increase,
     then the iteration cap.
     """
-    n = state_next.x.size
-    eps1 = np.sqrt(n) * config.eps_primal
-    eps2 = np.sqrt(n) * config.eps_dual
-    primal_next = _norm(state_next.x - state_next.z)
-    dual_next = config.rho * _norm(state_next.z - state_prev.z)
-    if primal_next <= eps1 and dual_next <= eps2:
+    primal_prev, primal = _norm(state_prev.x - state_prev.z), _norm(state_next.x - state_next.z)
+    dual = config.rho * _norm(state_next.z - state_prev.z)
+    return _decide(primal_prev, primal, dual, state_next.k, state_next.x.size, config)
+
+
+def _decide(primal_prev, primal, dual, k: int, n: int, config: SolverConfig) -> Termination:
+    """stop_check's rule, from the residual norms at iterate k of n coordinates."""
+    if primal <= math.sqrt(n) * config.eps_primal and dual <= math.sqrt(n) * config.eps_dual:
         return Termination.RESIDUALS_SMALL
-    primal_prev = _norm(state_prev.x - state_prev.z)
-    if primal_next > primal_prev:
+    if primal > primal_prev:
         return Termination.PRIMAL_INCREASED
-    if state_next.k >= config.max_outer_iters:
+    if k >= config.max_outer_iters:
         return Termination.MAX_ITERS
     return Termination.CONTINUE
 
@@ -196,6 +200,7 @@ def admm_generic(
     residual also exceeds _DIVERGENCE_GROWTH times the largest residual of the
     preceding _DIVERGENCE_WINDOW iterations and still exceeds its threshold;
     the raw one-step comparison fires on harmless spikes otherwise.
+    on_iteration(prev, next) must not modify the states in place.
 
     Returns the final state and a SolverReport with per-iteration residuals.
     """
@@ -205,7 +210,9 @@ def admm_generic(
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     obj_hist: list[float] = []
-    eps1 = np.sqrt(init.x.size) * config.eps_primal
+    n = init.x.size
+    eps1 = np.sqrt(n) * config.eps_primal
+    primal_prev = _norm(init.x - init.z)
     decision = Termination.CONTINUE
     while decision == Termination.CONTINUE:
         x_new = np.asarray(f_solver(state.x, state.z, state.u), dtype=float)
@@ -219,11 +226,10 @@ def admm_generic(
         obj_hist.append(float(objective_fn(x_new)) if objective_fn is not None else float("nan"))
         if on_iteration is not None:
             on_iteration(state, nxt)
-        decision = stop_check(state, nxt, config)
+        decision = _decide(primal_prev, primal_hist[-1], dual_hist[-1], nxt.k, n, config)
         if decision == Termination.PRIMAL_INCREASED:
-            n = len(primal_hist)
             sustained = (
-                n > _DIVERGENCE_WINDOW
+                len(primal_hist) > _DIVERGENCE_WINDOW
                 and primal_hist[-1]
                 > _DIVERGENCE_GROWTH * max(primal_hist[-1 - _DIVERGENCE_WINDOW : -1])
                 and primal_hist[-1] > eps1
@@ -234,7 +240,7 @@ def admm_generic(
                     if nxt.k >= config.max_outer_iters
                     else Termination.CONTINUE
                 )
-        state = nxt
+        state, primal_prev = nxt, primal_hist[-1]
     report = SolverReport(
         iterations_run=len(primal_hist),
         primal_residuals=tuple(primal_hist),
@@ -258,9 +264,10 @@ def inner_gradient_descent(
     direction maps the iterate and its gradient g to the step d, with g'd > 0.
     A step is taken when f(x - d) <= f(x) - 1e-4 g'd; a step that fails this
     test ends the descent at x. Stops when ||g|| <= 1e-6 (1 + ||x||) or after
-    max_inner_iters steps.
+    max_inner_iters steps. Neither x_init nor the iterates are modified in
+    place, and x_init is not copied: without a step the result is x_init.
     """
-    x = np.array(x_init, dtype=float)
+    x = np.asarray(x_init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteIterate("inner descent started from a non-finite point")
     f = float(objective_fn(x))
@@ -315,10 +322,11 @@ class _HalfQuadratic:
     kernel_objective(Xi, out) returns the kernel term at Xi with the
     ResidualCache of its kernel pass, and kernel_gradient(Xi, cache, out) the
     gradient from that cache; out is the run's (2, L, T) workspace, which every
-    pass builds its residual in. The last pass is kept with a copy of its point
-    (self.x; self.weights are its band weights) across the run's x-updates, so
-    the value, the gradient and the direction at that point, and the trace at
-    the x-update's result, read it; any other point gets a pass of its own. P
+    pass builds its residual in. The last pass is kept with its point (self.x;
+    self.weights are its band weights) across the run's x-updates, so the
+    value, the gradient and the direction at that point, and the trace at the
+    x-update's result, read it; any other point gets a pass of its own. Points
+    are never modified in place, so a pass is known by its point's array. P
     is shared by every pixel, so one solve with all pixels as right-hand sides
     serves the whole cube.
     """
@@ -337,6 +345,7 @@ class _HalfQuadratic:
         self.x = None  # the point of the last kernel pass
         self.term = None  # the kernel term at self.x
         self.cache = None  # the ResidualCache at self.x
+        self.out = None  # the last x-update's result: free rows self.xi, full matrix self.X
 
     @property
     def weights(self) -> np.ndarray:
@@ -350,9 +359,9 @@ class _HalfQuadratic:
         return xi.reshape(self.T, self.A.shape[1]).T
 
     def value(self, xi: np.ndarray) -> float:
-        if self.x is None or not np.array_equal(xi, self.x):
+        if xi is not self.x:
             self.term, self.cache = self.kernel_objective(self._matrix(xi), self.work)
-            self.x = xi.copy()
+            self.x = xi
         return self.term
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
@@ -366,19 +375,29 @@ class _HalfQuadratic:
 
     def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         V = _mat(z + u, self.R, self.T)
+        # the last point, full there and D = full - V; the warm start's full is
+        # rebuilt, as its last row need not be 1 - (column sums)
+        point = [self.xi, self.X, self.X - V] if x_prev is self.out else [None] * 3
+
+        def coupling(xi: np.ndarray) -> list:
+            if xi is not point[0]:
+                X = self.full(self._matrix(xi))
+                point[:] = xi, X, X - V
+            return point
 
         def objective(xi: np.ndarray) -> float:
-            D = self.full(self._matrix(xi)) - V
+            D = coupling(xi)[2]
             return self.value(xi) + 0.5 * self.rho * float(np.sum(D * D))
 
         def gradient(xi: np.ndarray) -> np.ndarray:
-            D = self.full(self._matrix(xi)) - V
-            return _vec(self.gradient(xi) + self.rho * self.pull(D))
+            return _vec(self.gradient(xi) + self.rho * self.pull(coupling(xi)[2]))
 
-        xi = inner_gradient_descent(
-            gradient, objective, self.free(x_prev), self.max_inner_iters, self.direction
-        )
-        return _vec(self.full(self._matrix(xi)))
+        xi = self.xi if x_prev is self.out else self.free(x_prev)
+        self.xi = inner_gradient_descent(gradient, objective, xi, self.max_inner_iters, self.direction)
+        self.X = coupling(self.xi)[1]
+        self.out = _vec(self.X)
+        self.out.flags.writeable = False  # on_iteration sees the cached point
+        return self.out
 
 
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -398,13 +417,14 @@ def _run_admm(config: SolverConfig, hq: _HalfQuadratic, g_prox, X0, on_iteration
     term at the free rows of every new x, which the x-update's last pass
     computed. Returns the final state and the report."""
     x0 = _vec(np.asarray(X0, dtype=float))
+    x0.flags.writeable = False
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
         hq.x_update,
         g_prox,
         config,
         init,
-        objective_fn=lambda x: hq.value(hq.free(x)),
+        objective_fn=lambda x: hq.value(hq.xi),
         on_iteration=on_iteration,
         sigma_used=hq.sigma,
     )
@@ -441,28 +461,24 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     return AbundanceMatrix(_mat(state.z, handle.R, handle.T), tag="nonnegative"), report
 
 
-# Each problem's runner, whether the default warm start of its runs,
-# fixed-bandwidth or tuned, is built from the least-squares abundances, that
-# warm start given them (None when it is not), and its best feasible fit. The
-# fc start is their projection onto the simplex. The sp start is the
-# nonnegative least-squares fit: feasible, and its residual stays on the
-# least-squares scale, which keeps the kernel weights alive at the data-driven
-# starting bandwidth. Clipping the plain LS solution can land far outside the
-# kernel width when the endmembers are strongly correlated. The best feasible
-# fit minimizes the residual over the problem's feasible set (the simplex for
-# fc, the first orthant for sp), so no result of the problem reconstructs
-# better.
+# Each problem's runner, its default warm start given the least-squares
+# abundances, and its best feasible fit. The fc start is their projection onto
+# the simplex. The sp start is the nonnegative least-squares fit, its ADMM
+# started from them: feasible, and its residual stays on the least-squares
+# scale, which keeps the kernel weights alive at the data-driven starting
+# bandwidth. Clipping the plain LS solution can land far outside the kernel
+# width when the endmembers are strongly correlated. The best feasible fit
+# minimizes the residual over the problem's feasible set (the simplex for fc,
+# the first orthant for sp), so no result of the problem reconstructs better.
 _PROBLEMS = {
     "fc": (
         _run_cusal_fc,
-        True,
         lambda h, X_ls: _project_columns_to_simplex(X_ls),
         lambda h: baselines.solve_fcls(h),
     ),
     "sp": (
         _run_cusal_sp,
-        False,
-        lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0).data,
+        lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0, _X_ls=X_ls).data,
         lambda h: baselines.solve_sunsal_sparse(h, 0.0),
     ),
 }
@@ -503,7 +519,7 @@ def _initial_sigma(handle: ProblemHandle, ls_residual: Optional[float] = None) -
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
-    runner, _, default_init, best_fit = _PROBLEMS[algorithm]
+    runner, default_init, best_fit = _PROBLEMS[algorithm]
     # one least-squares fit serves the warm start, sigma0 and every ratio check
     X_ls, ls_residual = _ls_fit(handle)
     if X0 is None:
@@ -571,14 +587,13 @@ def _solve(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_i
         return X, report
     if config.sigma is None:
         raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
-    runner, from_ls, default_init, _ = _PROBLEMS[algorithm]
-    # a warm start built from the least-squares fit hands its residual to the
-    # report, so the reconstruction ratio needs no second fit
-    fit = _ls_fit(handle) if X0 is None and from_ls else None
-    if X0 is None:
-        X0 = default_init(handle, None if fit is None else fit[0])
-    X, report = runner(handle, config, config.sigma, X0, on_iteration)
-    return X, report if fit is None else replace(report, ls_residual=fit[1])
+    runner, default_init, _ = _PROBLEMS[algorithm]
+    if X0 is not None:
+        return runner(handle, config, config.sigma, X0, on_iteration)
+    # the warm start's least-squares fit also serves the reconstruction ratio
+    X_ls, ls_residual = _ls_fit(handle)
+    X, report = runner(handle, config, config.sigma, default_init(handle, X_ls), on_iteration)
+    return X, replace(report, ls_residual=ls_residual)
 
 
 def cusal_fc(
@@ -600,6 +615,7 @@ def cusal_fc(
     Returns the feasible solution (nonnegative, exact unit column sums) and the
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
     the accepted attempt is returned, its report carrying the TuningTrace.
+    on_iteration(prev, next) runs after every outer iteration; x is read-only.
     """
     return _solve(handle, "fc", config, X0, on_iteration)
 
@@ -621,7 +637,7 @@ def cusal_sp(
     shrink, max(v - lam/rho, 0).
     Returns the nonnegative z iterate and the run report. With
     config.sigma_auto the bandwidth tuner drives the solve and the report
-    carries its TuningTrace.
+    carries its TuningTrace. on_iteration is called as in cusal_fc.
     """
     return _solve(handle, "sp", config, X0, on_iteration)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from unmix import (
     AbundanceMatrix,
@@ -58,6 +59,22 @@ class TestSolveLS:
             np.testing.assert_array_equal(solve_ls(validate_problem(Y[:, [t]], M)).data[:, 0], X_full[:, t])
         for k in (2, 5, 64, 306):
             np.testing.assert_array_equal(solve_ls(validate_problem(Y[:, :k], M)).data, X_full[:, :k])
+
+    def test_pixel_separable_bitwise_at_one_endmember(self, rng):
+        # numpy sums a reduction over single-entry rows pairwise, not in band
+        # order: a lone pixel with one endmember is the shape that shows it
+        for _ in range(20):
+            L = int(rng.integers(20, 200))
+            M = rng.uniform(0.05, 1.0, size=(L, 1))
+            Y = rng.standard_normal((L, 5)) * 10.0 ** rng.uniform(-3, 3, size=(L, 1))
+            Q, Rfac = scipy.linalg.qr(M, mode="economic")
+            X_full = solve_ls(validate_problem(Y, M)).data
+            for t in range(5):
+                sequential = 0.0
+                for l in range(L):
+                    sequential += Q[l, 0] * Y[l, t]
+                assert X_full[0, t] == sequential / Rfac[0, 0]
+                assert solve_ls(validate_problem(Y[:, [t]], M)).data[0, 0] == X_full[0, t]
 
     def test_matches_lstsq(self, rng):
         M = rng.standard_normal((150, 12))

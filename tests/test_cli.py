@@ -213,6 +213,44 @@ class TestUnmixCommands:
         lines = (tmp_path / "report.tsv").read_text().splitlines()
         assert f"# reconstruction_ratio {format_float(expected)}" in lines
 
+    @pytest.mark.parametrize("sigma", [["--sigma", "0.1"], ["--sigma-auto"]], ids=["fixed", "tuned"])
+    def test_cusal_sp_solve_and_report_fit_least_squares_once(
+        self, small_cube, tmp_path, monkeypatch, sigma
+    ):
+        ls_calls = []
+        real_ls = baselines.solve_ls
+
+        def counted_ls(*args, **kwargs):
+            ls_calls.append(1)
+            return real_ls(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "solve_ls", counted_ls)
+        code = run_cli(
+            "cusal-sp", small_cube / "Y.txt", small_cube / "M.txt", "--lambda", "1e-3", *sigma,
+            "--out", tmp_path / "X.txt", "--report-path", tmp_path / "report.tsv",
+        )
+        assert code == EXIT_OK
+        # the NNLS warm start starts from that fit, and the report's
+        # reconstruction ratio takes its residual
+        assert len(ls_calls) == 1
+        monkeypatch.setattr(baselines, "solve_ls", real_ls)
+        h = validate_problem(read_matrix(small_cube / "Y.txt"), read_matrix(small_cube / "M.txt"))
+        expected = solvers.reconstruction_ratio(h, read_matrix(tmp_path / "X.txt"))
+        lines = (tmp_path / "report.tsv").read_text().splitlines()
+        assert f"# reconstruction_ratio {format_float(expected)}" in lines
+        # started from the fit the solve already has, the warm start is still
+        # the NNLS baseline bit for bit
+        starts = []
+        real_run = solvers._run_cusal_sp
+
+        def spy(handle, config, sigma, X0, on_iteration):
+            starts.append(X0)
+            return real_run(handle, config, sigma, X0, on_iteration)
+
+        monkeypatch.setitem(solvers._PROBLEMS, "sp", (spy,) + solvers._PROBLEMS["sp"][1:])
+        solvers.cusal_sp(h, SolverConfig(sigma=0.1, lam=1e-3))
+        np.testing.assert_array_equal(starts[0], solve_sunsal_sparse(h, 0.0).data)
+
     def test_cusal_sp_output_nonnegative(self, small_cube, tmp_path):
         code = run_cli(
             "cusal-sp", small_cube / "Y.txt", small_cube / "M.txt",

@@ -77,6 +77,22 @@ class TestAdmmGeneric:
         assert len(report.objective_trace) == n
 
 
+    def test_two_residual_norms_per_outer_iteration(self, monkeypatch):
+        norms = []
+        real_norm = solvers._norm
+
+        def counted(a):
+            norms.append(1)
+            return real_norm(a)
+
+        monkeypatch.setattr(solvers, "_norm", counted)
+        _, report = quadratic_admm(np.array([-1.0, 2.0]))
+        assert report.iterations_run > 5
+        # the primal and dual residuals of each iteration, and the warm
+        # start's primal residual, which the first stop decision compares with
+        assert len(norms) == 2 * report.iterations_run + 1
+
+
 class TestStopCheck:
     def config(self, **kw):
         return SolverConfig(**kw)
@@ -421,6 +437,45 @@ class TestOneStepDefault:
         # that starts within the gradient tolerance would take no step; none
         # does here)
         assert len(passes) == 1 + report.iterations_run
+
+    @pytest.mark.parametrize("sigma_auto", [False, True], ids=["fixed", "tuned"])
+    def test_one_reconstruction_per_outer_iteration_plus_one_per_run(self, sigma_auto, monkeypatch):
+        h = self.cube(3, 60, 40, 8, 1)
+        rebuilds, reports = [], []
+        real_full, real_admm = solvers.reconstruct_full, solvers.admm_generic
+
+        def counted_full(*args, **kwargs):
+            rebuilds.append(1)
+            return real_full(*args, **kwargs)
+
+        def spy(*args, **kwargs):
+            state, report = real_admm(*args, **kwargs)
+            reports.append(report)
+            return state, report
+
+        monkeypatch.setattr(solvers, "reconstruct_full", counted_full)
+        monkeypatch.setattr(solvers, "admm_generic", spy)
+        config = SolverConfig(sigma_auto=True) if sigma_auto else SolverConfig(sigma=0.05)
+        cusal_fc(h, config)
+        assert sum(r.iterations_run for r in reports) >= 5
+        # each run rebuilds its warm start's last row, then the trial point of
+        # every x-update; the start of the next x-update is the previous result
+        assert len(rebuilds) == sum(r.iterations_run for r in reports) + len(reports)
+
+    @pytest.mark.parametrize("algorithm", ["fc", "sp"])
+    def test_on_iteration_cannot_edit_the_cached_iterates(self, algorithm):
+        # the x-update keys its kernel pass and its start on the x arrays
+        h = self.cube(3, 30, 8, 4, 1)
+        seen = []
+
+        def hook(prev, nxt):
+            for x in (prev.x, nxt.x):
+                with pytest.raises(ValueError):
+                    x[0] = 0.5
+            seen.append(nxt.k)
+
+        _, report = self.SOLVES[algorithm](h, SolverConfig(sigma=0.5), on_iteration=hook)
+        assert len(seen) == report.iterations_run > 1
 
     @pytest.mark.parametrize("algorithm", ["fc", "sp"])
     def test_fifty_steps_reproduce_the_multi_step_x_update(self, algorithm):
