@@ -85,14 +85,13 @@ def _admm(
     handle: ProblemHandle,
     prox: Callable[[np.ndarray, float], np.ndarray],
     sum_to_one: bool,
-    X_ls=None,
 ):
     """Per-pixel ADMM for min ||y - M x||^2 + g(z) subject to x = z.
 
     prox(v, rho) overwrites v with the proximal map of g / rho at v; with
     sum_to_one the quadratic update is corrected onto the hyperplane 1'x = 1
     through one KKT correction of the unconstrained solve. Z starts at the
-    clipped least-squares abundances X_ls (fitted when None). Returns the last
+    clipped least-squares abundances of the handle. Returns the last
     (X, Z) iterates and whether the residuals fell below tolerance before the
     cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
@@ -117,7 +116,7 @@ def _admm(
         if abs(qsum) < 1e-300:
             raise SingularNormalEquations("sum-to-one correction is degenerate")
 
-    Z = project_nonnegative(solve_ls(handle).data if X_ls is None else X_ls)
+    Z = project_nonnegative(handle.least_squares)
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
     # prox input V = X - U (the prox overwrites it with the next Z, and the
@@ -170,18 +169,17 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     return AbundanceMatrix(X, tag="fully_constrained")
 
 
-def solve_sunsal_sparse(handle: ProblemHandle, lam: float, *, _X_ls=None) -> AbundanceMatrix:
+def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
     """Per-pixel minimizer of ||y - M x||^2 + lam * ||x||_1 subject to x >= 0.
 
     Same ADMM loop as solve_fcls without the sum-to-one correction; the
     proximal step is soft thresholding followed by projection. lam = 0 gives
-    nonnegative least squares. _X_ls, the least-squares abundances when the
-    caller has them, spares the fit the ADMM starts from.
+    nonnegative least squares.
     """
     if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
         raise InvalidInput("lam must be a nonnegative finite scalar")
     _, Z, converged = _admm(
-        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False, X_ls=_X_ls
+        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False
     )
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)

@@ -167,12 +167,9 @@ def _write_report(path, report, handle, X) -> None:
     takes its reconstruction ratio from the accepted attempt and lists every
     attempt as `# tuner_attempt <sigma> <outcome> <ratio>` (ratio nan for a
     diverged attempt, which is not checked); a fixed-bandwidth solve computes
-    it against the least-squares residual of its warm start when it has one."""
+    it against the handle's least-squares residual."""
     attempts = () if report.tuning is None else report.tuning.attempts
-    ratio = (
-        attempts[-1].ratio if attempts
-        else solvers.reconstruction_ratio(handle, X, ls_residual=report.ls_residual)
-    )
+    ratio = attempts[-1].ratio if attempts else solvers.reconstruction_ratio(handle, X)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# termination_reason {report.termination_reason.value}\n")
         fh.write(f"# iterations_run {report.iterations_run}\n")

@@ -2,11 +2,12 @@
 
 All domain types freeze their arrays at construction (read-only views), so
 instances are safe to share across threads; the operations here are pure
-functions.
+functions, and a ProblemHandle fits least squares once, when first asked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -216,9 +217,6 @@ class SolverReport:
     cusal_fc the kernel term of the reduced fit, equal to objective_C at the
     full x to rounding. tuning is the bandwidth search's TuningTrace when the
     run is the accepted attempt of a sigma_auto solve, None otherwise.
-    ls_residual is the Frobenius norm of the least-squares residual when the
-    solve fitted least squares (a sigma_auto solve, or a default warm start),
-    None otherwise.
     """
 
     iterations_run: int
@@ -228,7 +226,6 @@ class SolverReport:
     termination_reason: Termination
     sigma_used: Optional[float] = None
     tuning: Optional[object] = None
-    ls_residual: Optional[float] = None
 
     def __post_init__(self):
         n = self.iterations_run
@@ -250,13 +247,32 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class ProblemHandle:
-    """Validated, immutable bundle of one unmixing problem (Y, M, L, T, R)."""
+    """Validated, immutable bundle of one unmixing problem (Y, M, L, T, R).
+
+    It also holds the problem's one least-squares fit: least_squares and
+    ls_residual are computed the first time they are read and kept, so every
+    solve on the handle shares them.
+    """
 
     Y: np.ndarray
     M: np.ndarray
     L: int
     T: int
     R: int
+
+    @functools.cached_property
+    def least_squares(self) -> np.ndarray:
+        """The read-only R x T least-squares abundances, from baselines.solve_ls."""
+        # looked up here (baselines imports this module), as a module
+        # attribute, so a wrapped solve_ls is what runs
+        from . import baselines
+
+        return baselines.solve_ls(self).data
+
+    @functools.cached_property
+    def ls_residual(self) -> float:
+        """The Frobenius norm of Y - M least_squares."""
+        return _norm(self.Y - self.M @ self.least_squares)
 
 
 def project_nonnegative(v) -> np.ndarray:

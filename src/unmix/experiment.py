@@ -4,9 +4,9 @@ for downstream plotting.
 
 The config parser converts each value and rejects syntax errors, unknown or
 duplicate keys, empty lists and unknown algorithm or metric names, with the
-line number. Every cell's cube recipe and solver settings are then built
-before the first cell runs, so any other invalid value stops the grid with the
-InvalidInput of the type that owns it and no output.
+line number. Every cell's algorithm name, cube recipe and solver settings are
+then checked before the first cell runs, so any other invalid value, also in a
+config built by hand, stops the grid with an InvalidInput and no output.
 
 Cells are independent pure computations; they may run on a thread pool (capped
 by the UNMIX_THREADS environment variable via the CLI), and the rows are
@@ -82,7 +82,7 @@ def _items(convert):
 
 def _algorithm(name: str) -> str:
     if name not in solvers.ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}")
+        raise InvalidInput(f"unknown algorithm {name!r}")
     return name
 
 
@@ -227,9 +227,11 @@ def run_cell(config: ExperimentConfig, M, algorithm: str, n_corrupt: int, seed: 
 def run_experiment(config: ExperimentConfig, max_workers: int = 1):
     """Run the full grid and return rows in canonical order.
 
-    Every cell's recipe and solver settings are built first, so an invalid
-    value raises InvalidInput before any cell runs.
+    Every algorithm name, cell recipe and solver setting is checked first, so
+    an invalid value raises InvalidInput before any cell runs.
     """
+    for algorithm in config.algorithms:
+        _algorithm(algorithm)
     for n_corrupt in config.corrupt_list:
         for seed in config.seeds:
             config.spec(n_corrupt, seed)

@@ -461,10 +461,10 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     return AbundanceMatrix(_mat(state.z, handle.R, handle.T), tag="nonnegative"), report
 
 
-# Each problem's runner, its default warm start given the least-squares
-# abundances, and its best feasible fit. The fc start is their projection onto
-# the simplex. The sp start is the nonnegative least-squares fit, its ADMM
-# started from them: feasible, and its residual stays on the least-squares
+# Each problem's runner, its default warm start, and its best feasible fit.
+# The fc start is the handle's least-squares abundances projected onto the
+# simplex. The sp start is the nonnegative least-squares fit, its ADMM started
+# from them: feasible, and its residual stays on the least-squares
 # scale, which keeps the kernel weights alive at the data-driven starting
 # bandwidth. Clipping the plain LS solution can land far outside the kernel
 # width when the endmembers are strongly correlated. The best feasible fit
@@ -473,35 +473,27 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 _PROBLEMS = {
     "fc": (
         _run_cusal_fc,
-        lambda h, X_ls: _project_columns_to_simplex(X_ls),
+        lambda h: _project_columns_to_simplex(h.least_squares),
         lambda h: baselines.solve_fcls(h),
     ),
     "sp": (
         _run_cusal_sp,
-        lambda h, X_ls: baselines.solve_sunsal_sparse(h, 0.0, _X_ls=X_ls).data,
+        lambda h: baselines.solve_sunsal_sparse(h, 0.0).data,
         lambda h: baselines.solve_sunsal_sparse(h, 0.0),
     ),
 }
 
 
-def _ls_fit(handle: ProblemHandle) -> tuple[np.ndarray, float]:
-    """Least-squares abundances and the Frobenius norm of their residual."""
-    X_ls = baselines.solve_ls(handle).data
-    return X_ls, _norm(handle.Y - handle.M @ X_ls)
+def reconstruction_ratio(handle: ProblemHandle, X) -> float:
+    """Frobenius residual of X relative to the handle's least-squares residual.
 
-
-def reconstruction_ratio(handle: ProblemHandle, X, *, ls_residual: Optional[float] = None) -> float:
-    """Frobenius residual of X relative to the least-squares residual.
-
-    ls_residual is that residual's norm when the caller already has it; it is
-    computed otherwise. When the least-squares fit is exact the ratio is
-    reported as 0 for an (essentially) exact X and infinity otherwise.
+    When the least-squares fit is exact the ratio is reported as 0 for an
+    (essentially) exact X and infinity otherwise.
     """
     Xdata = X.data if isinstance(X, AbundanceMatrix) else np.asarray(X, dtype=float)
     num = _norm(handle.Y - handle.M @ Xdata)
-    denom = _ls_fit(handle)[1] if ls_residual is None else ls_residual
-    if denom > 0:
-        return num / denom
+    if handle.ls_residual > 0:
+        return num / handle.ls_residual
     atol = 1e-12 * max(1.0, _norm(handle.Y))
     return 0.0 if num <= atol else float("inf")
 
@@ -510,22 +502,18 @@ def _sigma_floor(handle: ProblemHandle) -> float:
     return 1e-6 * max(1.0, _norm(handle.Y) / np.sqrt(handle.L * handle.T))
 
 
-def _initial_sigma(handle: ProblemHandle, ls_residual: Optional[float] = None) -> tuple[float, float]:
-    """Raw data-driven bandwidth and its positive floored version; ls_residual
-    as in reconstruction_ratio."""
-    resid = _ls_fit(handle)[1] if ls_residual is None else ls_residual
-    sigma0_raw = np.sqrt(handle.R / (8.0 * handle.L)) * resid
+def _initial_sigma(handle: ProblemHandle) -> tuple[float, float]:
+    """Raw data-driven bandwidth and its positive floored version."""
+    sigma0_raw = np.sqrt(handle.R / (8.0 * handle.L)) * handle.ls_residual
     return sigma0_raw, max(sigma0_raw, _sigma_floor(handle))
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
     runner, default_init, best_fit = _PROBLEMS[algorithm]
-    # one least-squares fit serves the warm start, sigma0 and every ratio check
-    X_ls, ls_residual = _ls_fit(handle)
+    sigma0_raw, sigma0 = _initial_sigma(handle)
     if X0 is None:
         # one warm start shared by every attempt
-        X0 = default_init(handle, X_ls)
-    sigma0_raw, sigma0 = _initial_sigma(handle, ls_residual)
+        X0 = default_init(handle)
     sigma = sigma0
     p = 1
     attempts: list[TuningAttempt] = []
@@ -533,16 +521,16 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
     for _ in range(_TUNER_ATTEMPT_CAP):
         X_hat, report = runner(handle, config, sigma, X0, on_iteration)
         if report.termination_reason in (Termination.RESIDUALS_SMALL, Termination.MAX_ITERS):
-            ratio = reconstruction_ratio(handle, X_hat, ls_residual=ls_residual)
+            ratio = reconstruction_ratio(handle, X_hat)
             if ratio < _TUNER_RATIO_LIMIT:
                 attempts.append(TuningAttempt(sigma, TuneOutcome.CONVERGED, ratio))
                 trace = TuningTrace(
                     sigma0=sigma0_raw, attempts=tuple(attempts), p=p, sigma_final=sigma
                 )
-                return sigma, trace, X_hat, replace(report, tuning=trace, ls_residual=ls_residual)
+                return sigma, trace, X_hat, replace(report, tuning=trace)
             attempts.append(TuningAttempt(sigma, TuneOutcome.RATIO_TOO_LARGE, ratio))
             if bound is None:
-                bound = reconstruction_ratio(handle, best_fit(handle), ls_residual=ls_residual)
+                bound = reconstruction_ratio(handle, best_fit(handle))
                 if bound >= _TUNER_RATIO_LIMIT:
                     raise TuningFailed(
                         f"no bandwidth can pass: the best feasible fit has reconstruction "
@@ -558,7 +546,7 @@ def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_it
                 sigma = _TUNER_GROWTH * sigma
     raise TuningFailed(
         f"no acceptable bandwidth within {_TUNER_ATTEMPT_CAP} attempts "
-        f"(sigma0={sigma0:.4g}, last sigma={sigma:.4g})"
+        f"(sigma0={sigma0:.4g}, last sigma={attempts[-1].sigma:.4g})"
     )
 
 
@@ -588,12 +576,8 @@ def _solve(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_i
     if config.sigma is None:
         raise InvalidInput("config.sigma must be set unless sigma_auto is enabled")
     runner, default_init, _ = _PROBLEMS[algorithm]
-    if X0 is not None:
-        return runner(handle, config, config.sigma, X0, on_iteration)
-    # the warm start's least-squares fit also serves the reconstruction ratio
-    X_ls, ls_residual = _ls_fit(handle)
-    X, report = runner(handle, config, config.sigma, default_init(handle, X_ls), on_iteration)
-    return X, replace(report, ls_residual=ls_residual)
+    X0 = default_init(handle) if X0 is None else X0
+    return runner(handle, config, config.sigma, X0, on_iteration)
 
 
 def cusal_fc(

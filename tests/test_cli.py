@@ -251,6 +251,19 @@ class TestUnmixCommands:
         solvers.cusal_sp(h, SolverConfig(sigma=0.1, lam=1e-3))
         np.testing.assert_array_equal(starts[0], solve_sunsal_sparse(h, 0.0).data)
 
+    @pytest.mark.parametrize("name", ["ls", "fcls", "sunsal-sparse"])
+    def test_baseline_report_says_direct(self, name, small_cube, tmp_path):
+        lam = ["--lambda", "1e-3"] if ALGORITHMS[name].takes_lambda else []
+        code = run_cli(
+            name, small_cube / "Y.txt", small_cube / "M.txt", *lam,
+            "--out", tmp_path / "X.txt", "--report-path", tmp_path / "report.tsv",
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "report.tsv").read_text() == (
+            "# termination_reason direct\n# iterations_run 0\n"
+            "iteration\tprimal_residual\tdual_residual\tobjective\n"
+        )
+
     def test_cusal_sp_output_nonnegative(self, small_cube, tmp_path):
         code = run_cli(
             "cusal-sp", small_cube / "Y.txt", small_cube / "M.txt",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestGrid:
         )
         assert wins >= 4
 
+    def test_unknown_algorithm_in_a_hand_built_config_stops_before_any_cell(
+        self, config, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match="unknown algorithm 'nope'"):
+            run_experiment(replace(config, algorithms=("ls", "nope")), max_workers=1)
+        assert calls == []
+
     def test_failed_cell_gets_status_row(self, config, monkeypatch):
         def boom(*args, **kwargs):
             raise UnmixError("synthetic failure")
@@ -215,6 +225,24 @@ class TestSparseGrid:
                 }
                 assert value["RMSE"] == min(rmse(truth.X_true, X) for X in candidates)
                 assert value["SRE_dB"] == max(sre_db(truth.X_true, X) for X in candidates)
+
+    def test_a_cell_fits_least_squares_once_for_its_whole_lambda_grid(self, monkeypatch):
+        config = experiment.ExperimentConfig(
+            model="lmm", R=3, L=30, T=16, snr_db=25.0, corrupt_list=(6,),
+            algorithms=("sunsal-sparse",), seeds=(1,), metrics=("RMSE",),
+            lambda_grid=(1e-4, 1e-3, 1e-2),
+        )
+        calls = []
+        real = baselines.solve_ls
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "solve_ls", counted)
+        rows = run_experiment(config, max_workers=1)
+        assert [r.status for r in rows] == ["ok"]
+        assert len(calls) == 1
 
 
 class TestCliExperiment:

@@ -7,6 +7,7 @@ from unmix import (
     AdmmState,
     InvalidInput,
     SolverConfig,
+    SolverReport,
     Termination,
     TuneOutcome,
     TuningFailed,
@@ -25,7 +26,7 @@ from unmix import (
     tune_sigma,
     validate_problem,
 )
-from unmix import correntropy, solvers
+from unmix import baselines, correntropy, solvers
 from unmix.solvers import _initial_sigma, _project_columns_to_simplex
 from unmix.synth import SyntheticSpec
 
@@ -696,3 +697,134 @@ class TestTuner:
         X, report = cusal_sp(h, SolverConfig(sigma=sigma, lam=1e-4))
         assert reconstruction_ratio(h, X) < 2.0
         assert trace.sigma_final == sigma
+
+    @staticmethod
+    def scripted_tuner(monkeypatch, outcome):
+        """Route the fc tuner through a runner that solves nothing: outcome(sigma)
+        gives each attempt's termination and abundances. Returns the sigmas tried."""
+        tried = []
+
+        def runner(handle, config, sigma, X0, on_iteration):
+            tried.append(sigma)
+            termination, X = outcome(sigma)
+            primal = (1.0, 2.0) if termination == Termination.PRIMAL_INCREASED else (2.0, 1.0)
+            report = SolverReport(2, primal, (1.0, 1.0), (0.0, 0.0), termination, sigma)
+            return X, report
+
+        monkeypatch.setitem(solvers._PROBLEMS, "fc", (runner,) + solvers._PROBLEMS["fc"][1:])
+        return tried
+
+    def test_grows_sigma_after_a_poor_reconstruction_the_best_fit_can_beat(self, rng, monkeypatch):
+        h, M, X, Y = random_problem(rng, L=20, R=3, T=15, residual_scale=0.05)
+        poor = np.zeros((h.R, h.T))
+        assert reconstruction_ratio(h, poor) >= 2.0 > reconstruction_ratio(h, solve_fcls(h))
+        tried = self.scripted_tuner(
+            monkeypatch,
+            lambda s: (Termination.MAX_ITERS, poor) if len(tried) == 1
+            else (Termination.RESIDUALS_SMALL, h.least_squares),
+        )
+        sigma, trace = tune_sigma(h, "fc", SolverConfig(sigma_auto=True))
+        sigma0 = _initial_sigma(h)[1]
+        assert tried == [sigma0, 1.2 * sigma0] and sigma == 1.2 * sigma0
+        assert [a.outcome for a in trace.attempts] == [
+            TuneOutcome.RATIO_TOO_LARGE, TuneOutcome.CONVERGED
+        ]
+        assert trace.p == 1
+
+    def test_restarts_from_sigma0_over_p_after_diverging_far_above_sigma0(self, rng, monkeypatch):
+        h, M, X, Y = random_problem(rng, L=20, R=3, T=15, residual_scale=0.05)
+        sigma0 = _initial_sigma(h)[1]
+        # every bandwidth from sigma0 up diverges, every one below it converges
+        diverges = lambda s: s >= sigma0
+        tried = self.scripted_tuner(
+            monkeypatch,
+            lambda s: (
+                Termination.PRIMAL_INCREASED if diverges(s) else Termination.RESIDUALS_SMALL,
+                h.least_squares,
+            ),
+        )
+        sigma, trace = tune_sigma(h, "fc", SolverConfig(sigma_auto=True))
+        expected = [sigma0]
+        while expected[-1] <= 1000.0 * sigma0:
+            expected.append(1.2 * expected[-1])
+        expected.append(sigma0 / 2)
+        assert tried == expected
+        assert sigma == trace.sigma_final == sigma0 / 2
+        assert trace.p == 2
+        outcomes = [a.outcome for a in trace.attempts]
+        assert outcomes == [TuneOutcome.DIVERGED] * (len(expected) - 1) + [TuneOutcome.CONVERGED]
+
+    def test_gives_up_after_sixty_attempts_naming_sigma0_and_the_last_sigma(self, rng, monkeypatch):
+        h, M, X, Y = random_problem(rng, L=20, R=3, T=15, residual_scale=0.05)
+        tried = self.scripted_tuner(
+            monkeypatch, lambda s: (Termination.PRIMAL_INCREASED, h.least_squares)
+        )
+        with pytest.raises(TuningFailed) as failure:
+            tune_sigma(h, "fc", SolverConfig(sigma_auto=True))
+        assert len(tried) == 60
+        message = str(failure.value)
+        assert "within 60 attempts" in message
+        assert f"sigma0={_initial_sigma(h)[1]:.4g}" in message
+        assert f"last sigma={tried[-1]:.4g}" in message
+
+
+class TestOneLeastSquaresFitPerHandle:
+    @pytest.fixture
+    def counted_ls(self, monkeypatch):
+        # wraps the module attribute, as the benchmark's layer hooks do
+        calls = []
+        real = baselines.solve_ls
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "solve_ls", counted)
+        return calls
+
+    @staticmethod
+    def corrupted_cube():
+        spec = SyntheticSpec(model="lmm", R=3, L=40, T=30, snr_db=20.0, n_corrupt=6, seed=21)
+        M = gen_endmembers(3, 40, seed=20)
+        return gen_cube(M, spec)[0], M
+
+    def test_fcls_and_a_tuned_cusal_fc_on_one_handle_fit_once(self, counted_ls):
+        h = validate_problem(*self.corrupted_cube())
+        solve_fcls(h)
+        cusal_fc(h, SolverConfig(sigma_auto=True))
+        assert len(counted_ls) == 1
+
+    def test_a_fixed_sigma_solve_from_a_given_start_fits_nothing(self, counted_ls):
+        Y, M = self.corrupted_cube()
+        h = validate_problem(Y, M)
+        X0 = np.full((3, h.T), 1.0 / 3.0)
+        cusal_fc(h, SolverConfig(sigma=0.5), X0)
+        assert counted_ls == []
+
+    @pytest.mark.parametrize(
+        "solve, config",
+        [
+            (cusal_fc, SolverConfig(sigma_auto=True)),
+            (cusal_sp, SolverConfig(sigma_auto=True, lam=1e-3)),
+            (cusal_sp, SolverConfig(sigma=0.5, lam=1e-3)),
+        ],
+        ids=["fc-tuned", "sp-tuned", "sp-fixed"],
+    )
+    def test_a_shared_fit_changes_no_byte(self, solve, config):
+        Y, M = self.corrupted_cube()
+        fresh_X, fresh = solve(validate_problem(Y, M), config)
+        h = validate_problem(Y, M)
+        solve_sunsal_sparse(h, 1e-3)
+        assert h.ls_residual > 0  # the handle holds its fit before the solve
+        X, report = solve(h, config)
+        assert X.data.tobytes() == fresh_X.data.tobytes()
+        assert report == fresh
+
+    def test_reconstruction_ratio_of_an_exact_least_squares_fit(self):
+        # with identity endmembers the fit is Y itself and its residual exactly 0
+        Y = np.random.default_rng(3).uniform(size=(3, 8))
+        h = validate_problem(Y, np.eye(3))
+        assert h.ls_residual == 0.0
+        assert reconstruction_ratio(h, Y) == 0.0
+        assert reconstruction_ratio(h, Y + 1e-15) == 0.0
+        assert reconstruction_ratio(h, Y + 0.1) == float("inf")
