@@ -268,6 +268,9 @@ def cmd_experiment(args) -> int:
         raise fileio.ParseError(f"UNMIX_THREADS must be an integer, got {text!r}") from None
     if max_workers < 1:
         raise fileio.ParseError(f"UNMIX_THREADS must be >= 1, got {max_workers}")
+    # a missing output directory fails before the grid runs, not after it
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise InvalidInput(f"the directory of --out {args.out!r} does not exist")
     rows = experiment.run_experiment(config, max_workers=max_workers)
     text = experiment.rows_to_tsv(rows)
     if args.out is None:

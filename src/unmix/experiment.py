@@ -1,18 +1,18 @@
 """Monte-Carlo experiment grids: algorithms x corrupted-band counts x seeds,
-read from a flat `key = value` config file and emitted as one canonical TSV
-for downstream plotting.
+read from a flat `key = value` config file and emitted as one canonical TSV.
 
-The config parser converts each value and rejects syntax errors, unknown or
-duplicate keys, empty lists and unknown algorithm or metric names, with the
-line number. Every cell's algorithm name, cube recipe and solver settings are
-then checked before the first cell runs, so any other invalid value, also in a
-config built by hand, stops the grid with an InvalidInput and no output.
+The config parser rejects syntax errors, unknown or duplicate keys, empty lists
+and unknown algorithm or metric names, with the line number. Names, values
+listed twice in algorithms, corrupt_list, seeds or metric, cube recipes and
+solver settings are then checked before the first cube is made, so an invalid
+value, also in a config built by hand, stops the grid with an InvalidInput.
 
-Cells are independent pure computations; they may run on a thread pool (capped
-by the UNMIX_THREADS environment variable via the CLI), and the rows are
-sorted canonically before writing so the worker count never changes a byte of
-output. A cell that fails while solving is recorded in the status column
-instead of aborting the grid.
+The unit of work is one cube recipe (n_corrupt, seed): its cube is generated
+and validated once, and every algorithm solves that one problem handle, sharing
+its least-squares fit. Recipes may run on a thread pool, one task each (capped
+by UNMIX_THREADS via the CLI); rows are sorted canonically, so the worker count
+never changes a byte of output. A failure becomes the status of its rows: a
+cube that cannot be made fails every algorithm's, a failed solve only its own.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ExperimentConfig:
     max_outer_iters: int = SolverConfig.max_outer_iters
 
     def spec(self, n_corrupt: int, seed: int) -> synth.SyntheticSpec:
-        """The cube recipe of one grid cell."""
+        """The cube recipe (n_corrupt, seed) that one grid cell runs."""
         return synth.SyntheticSpec(
             model=self.model,
             R=self.R,
@@ -64,7 +64,7 @@ class ExperimentConfig:
         )
 
     def solver_config(self, lam: float) -> SolverConfig:
-        """The solver settings of one grid cell at l1 weight `lam`."""
+        """The solver settings of every grid solve at l1 weight `lam`."""
         return SolverConfig(lam=lam, sigma_auto=True, max_outer_iters=self.max_outer_iters)
 
 
@@ -185,73 +185,73 @@ def _metric_value(name: str, truth: synth.GroundTruth, handle, X_hat) -> float:
     return metrics.evaluate_metric(name, truth.X_true, X_hat).value
 
 
-def run_cell(config: ExperimentConfig, M, algorithm: str, n_corrupt: int, seed: int):
-    """All metric rows for one (algorithm, corrupt count, seed) grid cell."""
-    spec = config.spec(n_corrupt, seed)
-    rows: list[ExperimentRow] = []
+def _best_values(config: ExperimentConfig, algorithm: str, truth, handle) -> list:
+    """Each metric's value for one algorithm; an algorithm that takes lambda
+    reports its best value over the lambda grid."""
+    entry = solvers.ALGORITHMS[algorithm]
+    lams = config.lambda_grid if entry.takes_lambda else (SolverConfig.lam,)
+    candidates = [entry.solve(handle, config.solver_config(lam))[0] for lam in lams]
+    best = []
+    for name in config.metrics:
+        values = [_metric_value(name, truth, handle, X) for X in candidates]
+        best.append(min(values) if metrics.LOWER_IS_BETTER[name] else max(values))
+    return best
 
-    def make_row(metric_name, value, status="ok"):
-        rows.append(
-            ExperimentRow(
-                algorithm=algorithm,
-                model=config.model,
-                snr_db=config.snr_db,
-                n_corrupt=n_corrupt,
-                K=config.K,
-                seed=seed,
-                metric=metric_name,
-                value=value,
-                status=status,
-            )
-        )
 
+def run_cell(config: ExperimentConfig, M, spec: synth.SyntheticSpec):
+    """All metric rows of one cube recipe: every algorithm solves its one cube."""
     try:
         Y, truth = synth.gen_cube(M, spec)
         handle = validate_problem(Y, M)
-        if algorithm not in solvers.ALGORITHMS:
-            raise UnmixError(f"unknown algorithm {algorithm!r}")
-        entry = solvers.ALGORITHMS[algorithm]
-        # an algorithm that takes lambda reports its best value over the grid
-        lams = config.lambda_grid if entry.takes_lambda else (SolverConfig.lam,)
-        candidates = [entry.solve(handle, config.solver_config(lam))[0] for lam in lams]
-        for name in config.metrics:
-            values = [_metric_value(name, truth, handle, X) for X in candidates]
-            make_row(name, min(values) if metrics.LOWER_IS_BETTER[name] else max(values))
+        cube_status = "ok"
     except UnmixError as exc:
-        rows = []
-        for name in config.metrics:
-            make_row(name, None, status=f"error:{type(exc).__name__}")
+        cube_status = f"error:{type(exc).__name__}"
+    rows = []
+    for algorithm in config.algorithms:
+        values, status = [None] * len(config.metrics), cube_status
+        if status == "ok":
+            try:
+                values = _best_values(config, algorithm, truth, handle)
+            except UnmixError as exc:
+                status = f"error:{type(exc).__name__}"
+        rows.extend(
+            ExperimentRow(
+                algorithm, config.model, config.snr_db, spec.n_corrupt, config.K, spec.seed,
+                name, value, status,
+            )
+            for name, value in zip(config.metrics, values)
+        )
     return rows
 
 
 def run_experiment(config: ExperimentConfig, max_workers: int = 1):
     """Run the full grid and return rows in canonical order.
 
-    Every algorithm name, cell recipe and solver setting is checked first, so
-    an invalid value raises InvalidInput before any cell runs.
+    Every algorithm and metric name, repeated list entry, cube recipe and
+    solver setting is checked first, so an invalid value raises InvalidInput
+    before any cube is generated.
     """
-    for algorithm in config.algorithms:
-        _algorithm(algorithm)
-    for n_corrupt in config.corrupt_list:
-        for seed in config.seeds:
-            config.spec(n_corrupt, seed)
+    lists = {
+        "algorithms": [_algorithm(name) for name in config.algorithms],
+        "corrupt_list": config.corrupt_list,
+        "seeds": config.seeds,
+        "metric": [metrics.resolve_metric(name) for name in config.metrics],
+    }
+    for key, values in lists.items():
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise InvalidInput(f"{key} lists {repeated[0]!r} more than once")
+    specs = [config.spec(n, seed) for n in config.corrupt_list for seed in config.seeds]
     for lam in (SolverConfig.lam, *config.lambda_grid):
         config.solver_config(lam)
     M = synth.gen_endmembers(
         config.R, config.L, seed=config.endmember_seed, min_angle_deg=config.min_angle_deg
     )
-    cells = [
-        (algorithm, n_corrupt, seed)
-        for algorithm in config.algorithms
-        for n_corrupt in config.corrupt_list
-        for seed in config.seeds
-    ]
     if max_workers <= 1:
-        results = [run_cell(config, M, *cell) for cell in cells]
+        results = [run_cell(config, M, spec) for spec in specs]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_cell, config, M, *cell) for cell in cells]
-            results = [f.result() for f in futures]
+            results = list(pool.map(lambda spec: run_cell(config, M, spec), specs))
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=ExperimentRow.sort_key)
     return rows

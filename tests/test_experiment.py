@@ -17,6 +17,7 @@ from unmix import (
     rmse,
     solve_sunsal_sparse,
     sre_db,
+    synth,
     validate_problem,
 )
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
@@ -142,6 +143,47 @@ class TestInvalidConfig:
         assert str(expected.value) in capsys.readouterr().err
 
 
+class TestRepeatedEntries:
+    # rows are keyed by (algorithm, model, snr, n_corrupt, K, seed, metric),
+    # so a value listed twice would solve its cells twice and repeat the key
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("algorithms = ls,fcls", "algorithms = ls,fcls,ls", "algorithms lists 'ls'"),
+            ("corrupt_list = 0,6", "corrupt_list = 0,6,0", "corrupt_list lists 0"),
+            ("seeds = 1,2,3", "seeds = 1,1", "seeds lists 1"),
+            ("metric = rmse,sre", "metric = rmse,sre,RMSE", "metric lists 'RMSE'"),
+        ],
+        ids=["algorithms", "corrupt_list", "seeds", "metric"],
+    )
+    def test_stop_the_cli_before_any_cell_runs(
+        self, old, new, message, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG.replace(old, new))
+        calls = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: calls.append(args))
+        out = tmp_path / "rows.tsv"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert calls == []
+        assert f"{message} more than once" in capsys.readouterr().err
+
+    def test_stop_a_hand_built_config_with_metric_names_resolved(self, config, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match="metric lists 'SRE_dB' more than once"):
+            run_experiment(replace(config, metrics=("SRE_dB", "sre")), max_workers=1)
+        assert calls == []
+
+    def test_a_repeated_lambda_is_still_allowed(self, config):
+        rows = run_experiment(
+            replace(config, algorithms=("sunsal-sparse",), lambda_grid=(1e-3, 1e-3)),
+            max_workers=1,
+        )
+        assert len(rows) == 2 * 3 * 2 and all(r.status == "ok" for r in rows)
+
+
 class TestGrid:
     def test_row_count_and_order(self, config):
         rows = run_experiment(config, max_workers=1)
@@ -190,6 +232,38 @@ class TestGrid:
         text = rows_to_tsv(rows)
         assert "error:UnmixError" in text
 
+    def test_a_failed_solve_fails_only_its_algorithms_rows(self, config, monkeypatch):
+        clean = run_experiment(config, max_workers=1)
+
+        def boom(*args, **kwargs):
+            raise UnmixError("synthetic failure")
+
+        # fcls runs first on each shared cube, so ls solves after a failure
+        monkeypatch.setattr(baselines, "solve_fcls", boom)
+        rows = run_experiment(replace(config, algorithms=("fcls", "ls")), max_workers=1)
+        assert {r.status for r in rows if r.algorithm == "fcls"} == {"error:UnmixError"}
+        assert all(r.value is None for r in rows if r.algorithm == "fcls")
+        assert [r for r in rows if r.algorithm == "ls"] == [
+            r for r in clean if r.algorithm == "ls"
+        ]
+
+    @pytest.mark.parametrize(
+        "module, name, error",
+        [(synth, "gen_cube", UnmixError), (experiment, "validate_problem", InvalidInput)],
+        ids=["generation", "validation"],
+    )
+    def test_a_cube_that_cannot_be_made_fails_every_algorithms_rows(
+        self, module, name, error, config, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(module, name, boom)
+        rows = run_experiment(config, max_workers=1)
+        assert len(rows) == 2 * 2 * 3 * 2
+        assert {r.algorithm for r in rows} == {"ls", "fcls"}
+        assert all(r.status == f"error:{error.__name__}" and r.value is None for r in rows)
+
 
 class TestSparseGrid:
     def test_cells_report_best_value_over_lambda_grid(self, tmp_path):
@@ -227,22 +301,27 @@ class TestSparseGrid:
                 assert value["SRE_dB"] == max(sre_db(truth.X_true, X) for X in candidates)
 
     def test_a_cell_fits_least_squares_once_for_its_whole_lambda_grid(self, monkeypatch):
+        # a cell is one cube recipe: its cube is generated, validated and
+        # fitted once, and every algorithm (every lambda too) solves it
         config = experiment.ExperimentConfig(
-            model="lmm", R=3, L=30, T=16, snr_db=25.0, corrupt_list=(6,),
-            algorithms=("sunsal-sparse",), seeds=(1,), metrics=("RMSE",),
-            lambda_grid=(1e-4, 1e-3, 1e-2),
+            model="lmm", R=3, L=30, T=16, snr_db=25.0, corrupt_list=(0, 6),
+            algorithms=("ls", "fcls", "sunsal-sparse", "cusal-fc"), seeds=(1,),
+            metrics=("RMSE",), lambda_grid=(1e-4, 1e-3, 1e-2), max_outer_iters=20,
         )
-        calls = []
-        real = baselines.solve_ls
+        calls = {"gen_cube": 0, "validate_problem": 0, "solve_ls": 0}
+        for module, name in (
+            (synth, "gen_cube"), (experiment, "validate_problem"), (baselines, "solve_ls")
+        ):
+            real = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(baselines, "solve_ls", counted)
+            monkeypatch.setattr(module, name, counted)
         rows = run_experiment(config, max_workers=1)
-        assert [r.status for r in rows] == ["ok"]
-        assert len(calls) == 1
+        assert [r.status for r in rows] == ["ok"] * 4 * 2
+        assert calls == {"gen_cube": 2, "validate_problem": 2, "solve_ls": 2}
 
 
 class TestCliExperiment:
@@ -256,6 +335,19 @@ class TestCliExperiment:
         monkeypatch.setenv("UNMIX_THREADS", "3")
         assert main(["experiment", str(cfg), "--out", str(out3)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+    def test_missing_out_directory_stops_before_any_cell_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG)
+        calls = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: calls.append(args))
+        out = tmp_path / "nodir" / "rows.tsv"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == EXIT_INPUT
+        assert calls == []
+        assert not out.parent.exists()
+        assert "does not exist" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_bad_thread_count_is_input_error(self, threads, tmp_path, monkeypatch, capsys):
