@@ -3,7 +3,7 @@
 Every command is a thin shell over library calls: files in, library out,
 files/stdout back. Exit codes: 0 success, 2 invalid input (files, flags,
 dimensions, metric domain), 3 solver diverged, 4 bandwidth tuning failed,
-1 unexpected internal error.
+1 unexpected internal error (an uncaught exception, with its traceback).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import (
 )
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_TUNING = 4
@@ -77,14 +76,6 @@ def _add_algorithms(sub):
                 "--max-iters", type=int, default=SolverConfig.max_outer_iters,
                 help=f"outer iteration cap (default {SolverConfig.max_outer_iters:g})",
             )
-            p.add_argument(
-                "--max-inner-iters",
-                type=int,
-                default=SolverConfig.max_inner_iters,
-                help="cap on the half-quadratic steps per x-update "
-                f"(default {SolverConfig.max_inner_iters:g}: majorized ADMM; "
-                "the steps also stop at 1e-6 relative gradient norm)",
-            )
 
 
 def _add_eval(sub):
@@ -117,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
         epilog=f"Solver defaults: rho={SolverConfig.rho:g}, "
-        f"{SolverConfig.max_inner_iters:g} half-quadratic step per x-update (majorized ADMM), "
         f"{SolverConfig.max_outer_iters:g} outer iterations, "
-        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: each inner "
-        "step minimizes the weighted least-squares majorizer of the x-subproblem "
+        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: "
+        f"{SolverConfig.max_inner_iters:g} half-quadratic step per x-update (majorized ADMM), "
+        "which minimizes the weighted least-squares majorizer of the x-subproblem "
         "(unit step; a step that does not lower the subproblem ends the x-update), "
         "inner tolerance 1e-6. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
@@ -131,6 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval(sub)
     _add_experiment(sub)
     return parser
+
+
+def _check_destination(path, flag) -> None:
+    """Reject an output path that is a directory or lies in a missing one,
+    before any input is read, so a bad path leaves no partial output."""
+    if path is not None and os.path.isdir(path):
+        raise InvalidInput(f"{flag} {path!r} is a directory")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidInput(f"the directory of {flag} {path!r} does not exist")
 
 
 def cmd_generate(args) -> int:
@@ -192,6 +192,8 @@ def _write_report(path, report, handle, X) -> None:
 
 
 def cmd_unmix(args) -> int:
+    _check_destination(args.out, "--out")
+    _check_destination(args.report_path, "--report-path")
     Y = fileio.read_matrix(args.observations)
     M = fileio.read_matrix(args.endmembers)
     handle = validate_problem(Y, M)
@@ -202,7 +204,6 @@ def cmd_unmix(args) -> int:
             sigma=args.sigma,
             rho=args.rho,
             max_outer_iters=args.max_iters,
-            max_inner_iters=args.max_inner_iters,
             sigma_auto=args.sigma_auto,
         )
     X, report = algorithm.solve(handle, SolverConfig(**options))
@@ -228,6 +229,7 @@ def cmd_unmix(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_destination(args.append, "--append")
     flag = "--exclude" if args.exclude else "--degrees" if args.degrees else None
     if flag is not None and args.metric != "sad":
         raise InvalidInput(f"{flag} applies only to sad, not to {args.metric}")
@@ -260,6 +262,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_destination(args.out, "--out")
     config = experiment.parse_experiment_config(args.config)
     text = os.environ.get("UNMIX_THREADS", "1")
     try:
@@ -268,9 +271,6 @@ def cmd_experiment(args) -> int:
         raise fileio.ParseError(f"UNMIX_THREADS must be an integer, got {text!r}") from None
     if max_workers < 1:
         raise fileio.ParseError(f"UNMIX_THREADS must be >= 1, got {max_workers}")
-    # a missing output directory fails before the grid runs, not after it
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise InvalidInput(f"the directory of --out {args.out!r} does not exist")
     rows = experiment.run_experiment(config, max_workers=max_workers)
     text = experiment.rows_to_tsv(rows)
     if args.out is None:
@@ -310,16 +310,13 @@ def main(argv=None) -> int:
             return cmd_unmix(args)
         if args.command == "eval":
             return cmd_eval(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_experiment(args)
     except TuningFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TUNING
     except (UnmixError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INTERNAL
 
 
 def entry_point() -> None:

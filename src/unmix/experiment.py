@@ -18,7 +18,7 @@ cube that cannot be made fails every algorithm's, a failed solve only its own.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 from . import metrics, solvers, synth
@@ -229,13 +229,14 @@ def run_experiment(config: ExperimentConfig, max_workers: int = 1):
 
     Every algorithm and metric name, repeated list entry, cube recipe and
     solver setting is checked first, so an invalid value raises InvalidInput
-    before any cube is generated.
+    before any cube is generated. The cells run the resolved metric labels.
     """
+    config = replace(config, metrics=tuple(map(metrics.resolve_metric, config.metrics)))
     lists = {
         "algorithms": [_algorithm(name) for name in config.algorithms],
         "corrupt_list": config.corrupt_list,
         "seeds": config.seeds,
-        "metric": [metrics.resolve_metric(name) for name in config.metrics],
+        "metric": config.metrics,
     }
     for key, values in lists.items():
         repeated = [value for i, value in enumerate(values) if value in values[:i]]

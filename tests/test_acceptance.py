@@ -171,7 +171,7 @@ CRIT5_CORRUPT = (0, 20, 40, 60)
 @pytest.fixture(scope="module")
 def crit5_results():
     M = gen_endmembers(3, 244, seed=50)
-    config = SolverConfig(sigma_auto=True, max_outer_iters=150, max_inner_iters=20)
+    config = SolverConfig(sigma_auto=True, max_outer_iters=150)
     results = {}
     traces = []
     t0 = time.time()
@@ -229,9 +229,7 @@ def crit6_results():
         X0 = solve_sunsal_sparse(h, 0.0).data
         best_cusal = -math.inf
         for lam in LAMBDA_GRID:
-            config = SolverConfig(
-                sigma_auto=True, lam=lam, max_outer_iters=200, max_inner_iters=20
-            )
+            config = SolverConfig(sigma_auto=True, lam=lam, max_outer_iters=200)
             sigma, trace, X_sp, rep = _tune(h, "sp", config, X0, None)
             traces.append(trace)
             best_cusal = max(best_cusal, sre_db(truth.X_true, X_sp))

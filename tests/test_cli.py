@@ -20,7 +20,7 @@ from unmix import (
     validate_problem,
 )
 import unmix
-from unmix import baselines, solvers
+from unmix import baselines, fileio, solvers
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
 from unmix.fileio import format_float, read_matrix, read_truth_meta, write_matrix
 from unmix.solvers import ALGORITHMS
@@ -307,6 +307,69 @@ class TestUnmixCommands:
         write_matrix(tmp_path / "M.txt", rng.uniform(size=(5, 2)))
         code = run_cli("ls", tmp_path / "Y.txt", tmp_path / "M.txt", "--out", tmp_path / "X.txt")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", ["cusal-fc", "cusal-sp"])
+    def test_inner_step_cap_is_not_an_option(self, name, small_cube, tmp_path, capsys):
+        # the CLI always runs majorized ADMM: one half-quadratic step per x-update
+        with pytest.raises(SystemExit) as exited:
+            run_cli(
+                name, small_cube / "Y.txt", small_cube / "M.txt", "--sigma-auto",
+                "--max-inner-iters", 5, "--out", tmp_path / "X.txt",
+            )
+        assert exited.value.code == EXIT_INPUT
+        assert "--max-inner-iters" in capsys.readouterr().err
+        assert not (tmp_path / "X.txt").exists()
+        with pytest.raises(SystemExit) as exited:
+            run_cli(name, "--help")
+        assert exited.value.code == EXIT_OK
+        shown = capsys.readouterr().out
+        assert "--max-iters" in shown and "--max-inner-iters" not in shown
+
+
+class TestOutputDestinations:
+    # an output path that cannot be written stops the command before it reads
+    # any input, so nothing is solved, printed or half written
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = fileio.read_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fileio, "read_matrix", counted)
+        return calls
+
+    def test_solve_out_that_is_a_directory(self, small_cube, tmp_path, reads, capsys):
+        code = run_cli("fcls", small_cube / "Y.txt", small_cube / "M.txt", "--out", tmp_path)
+        assert code == EXIT_INPUT
+        assert reads == []
+        assert "--out" in capsys.readouterr().err
+
+    def test_report_path_in_a_missing_directory_writes_no_abundances(
+        self, small_cube, tmp_path, reads, capsys
+    ):
+        out = tmp_path / "X.txt"
+        code = run_cli(
+            "cusal-fc", small_cube / "Y.txt", small_cube / "M.txt", "--sigma-auto",
+            "--out", out, "--report-path", tmp_path / "missing" / "r.tsv",
+        )
+        assert code == EXIT_INPUT
+        assert reads == []
+        assert not out.exists()
+        assert "--report-path" in capsys.readouterr().err
+
+    def test_eval_append_that_is_a_directory(self, small_cube, tmp_path, reads, capsys):
+        code = run_cli(
+            "eval", "rmse", small_cube / "X_true.txt", small_cube / "X_true.txt",
+            "--append", tmp_path,
+        )
+        assert code == EXIT_INPUT
+        assert reads == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--append" in captured.err
 
 
 class TestBlasThreadCount:

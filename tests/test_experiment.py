@@ -220,6 +220,17 @@ class TestGrid:
             run_experiment(replace(config, algorithms=("ls", "nope")), max_workers=1)
         assert calls == []
 
+    def test_a_hand_built_config_runs_the_resolved_metric_labels(self, config):
+        grid = replace(config, algorithms=("ls",), corrupt_list=(6,), seeds=(1,))
+        rows = run_experiment(replace(grid, metrics=("rmse", "sad", "sre")), max_workers=1)
+        labelled = run_experiment(
+            replace(grid, metrics=("RMSE", "SAD_rad", "SRE_dB")), max_workers=1
+        )
+        assert [(r.metric, r.status) for r in rows] == [
+            ("RMSE", "ok"), ("SAD_rad", "ok"), ("SRE_dB", "ok")
+        ]
+        assert rows == labelled
+
     def test_failed_cell_gets_status_row(self, config, monkeypatch):
         def boom(*args, **kwargs):
             raise UnmixError("synthetic failure")
@@ -348,6 +359,17 @@ class TestCliExperiment:
         assert calls == []
         assert not out.parent.exists()
         assert "does not exist" in capsys.readouterr().err
+
+    def test_out_that_is_a_directory_stops_before_any_cell_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CFG)
+        calls = []
+        monkeypatch.setattr(experiment, "run_cell", lambda *args: calls.append(args) or [])
+        assert main(["experiment", str(cfg), "--out", str(tmp_path)]) == EXIT_INPUT
+        assert calls == []
+        assert "is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_bad_thread_count_is_input_error(self, threads, tmp_path, monkeypatch, capsys):
