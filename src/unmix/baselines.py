@@ -2,12 +2,13 @@
 and l1-regularized nonnegative least squares.
 
 The constrained problems are solved per pixel by ADMM with a closed-form
-quadratic update: K = 2 M'M + rho I is factored once and inverted once, and
-every iteration applies the R x R inverse to all pixels in one product (the
-per-pixel solves are independent). The loop re-validates nothing per
-iteration: it writes into preallocated buffers, the proximal maps work in
-place, and the iterates are checked for non-finite entries only when a
-residual norm is not finite.
+quadratic update: K = 2 M'M + rho I is Cholesky-factored and inverted once,
+and every iteration applies the R x R inverse to all pixels in one product
+(the per-pixel solves are independent). The QR of M and the factor of K come
+from numpy.linalg, so the package needs no SciPy. The loop re-validates
+nothing per iteration: it writes into preallocated buffers, the proximal maps
+work in place, and the iterates are checked for non-finite entries only when
+a residual norm is not finite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     AbundanceMatrix,
@@ -50,7 +50,7 @@ def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
     results. A reduction over the bands would not: numpy sums rows of one
     entry (R*T = 1) pairwise.
     """
-    Q, Rfac = scipy.linalg.qr(handle.M, mode="economic")
+    Q, Rfac = np.linalg.qr(handle.M, mode="reduced")
     diag = np.abs(np.diag(Rfac))
     if diag.min() <= diag.max() * 1e-13:
         raise SingularNormalEquations("M'M is numerically singular")
@@ -97,18 +97,18 @@ def _admm(
     """
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
-    MtM2 = 2.0 * (M.T @ M)
     rho = _default_rho(M)
+    # K = 2 M'M + rho I = C C' has a Cholesky factor C exactly when it is
+    # positive definite. One product with K^-1 = inv(C)' inv(C) per iteration
+    # is much cheaper than a Cholesky solve with T right-hand sides; with this
+    # rho, cond(K) = cond(M), so the explicit inverse loses nothing at
+    # _BASELINE_TOL.
     try:
-        cho = scipy.linalg.cho_factor(MtM2 + rho * np.eye(R))
-    except scipy.linalg.LinAlgError as exc:
+        Cinv = np.linalg.inv(np.linalg.cholesky(2.0 * (M.T @ M) + rho * np.eye(R)))
+    except np.linalg.LinAlgError as exc:
         raise SingularNormalEquations(str(exc)) from exc
-    # One product with the inverse of K = 2 M'M + rho I per iteration is much
-    # cheaper than a Cholesky solve with T right-hand sides; with this rho,
-    # cond(K) = cond(M), so the explicit inverse loses no accuracy that
-    # matters at _BASELINE_TOL.
-    Kinv = scipy.linalg.cho_solve(cho, np.eye(R))
-    Kinv_MtY2 = scipy.linalg.cho_solve(cho, 2.0 * (M.T @ Y))
+    Kinv = Cinv.T @ Cinv
+    Kinv_MtY2 = Kinv @ (2.0 * (M.T @ Y))
     rho_Kinv = rho * Kinv
     if sum_to_one:
         q = Kinv.sum(axis=1)

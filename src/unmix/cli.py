@@ -134,6 +134,9 @@ def _check_destination(path, flag) -> None:
 
 
 def cmd_generate(args) -> int:
+    out = Path(args.out_dir)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise InvalidInput(f"--out-dir {args.out_dir!r} is or lies under a file")
     if args.endmembers is not None:
         M = fileio.read_matrix(args.endmembers)
     else:
@@ -152,7 +155,6 @@ def cmd_generate(args) -> int:
         b_range=fileio.parse_interval(args.b_range),
     )
     Y, truth = synth.gen_cube(M, spec)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_matrix(out / "Y.txt", Y)
     fileio.write_matrix(out / "M.txt", M)

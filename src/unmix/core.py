@@ -352,8 +352,6 @@ def validate_problem(Y, M) -> ProblemHandle:
     LM, R = Mdata.shape
     if L != LM:
         raise DimensionMismatch(f"Y has {L} bands but M has {LM}")
-    if R > L:
-        raise DimensionMismatch(f"more endmembers ({R}) than bands ({L})")
     cond = np.linalg.cond(Mdata.T @ Mdata)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         warnings.warn(

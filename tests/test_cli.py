@@ -20,7 +20,7 @@ from unmix import (
     validate_problem,
 )
 import unmix
-from unmix import baselines, fileio, solvers
+from unmix import baselines, fileio, solvers, synth
 from unmix.cli import EXIT_INPUT, EXIT_OK, main
 from unmix.fileio import format_float, read_matrix, read_truth_meta, write_matrix
 from unmix.solvers import ALGORITHMS
@@ -90,6 +90,19 @@ class TestGenerate:
         assert code == EXIT_INPUT
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out_dir", ["cube", "cube/sub"], ids=["file", "under-a-file"])
+    def test_out_dir_at_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch, out_dir):
+        (tmp_path / "cube").write_text("a file\n")
+        calls = []
+        for name in ("gen_endmembers", "gen_cube"):
+            monkeypatch.setattr(synth, name, lambda *a, name=name, **k: calls.append(name))
+        code = run_cli("generate", "--R", 3, "--L", 20, "--T", 5, "--out-dir", tmp_path / out_dir)
+        assert code == EXIT_INPUT
+        assert "--out-dir" in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["cube"]
+        assert (tmp_path / "cube").read_text() == "a file\n"
 
     def test_b_range_needs_two_values(self, tmp_path, capsys):
         # the same converter as the experiment config's b_range key
@@ -407,6 +420,17 @@ class TestBlasThreadCount:
             }
         for name, data in outputs["1"].items():
             assert outputs["2"][name] == data, name
+
+
+def test_importing_the_package_and_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency, and its BLAS the only one loaded
+    src = str(Path(unmix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, unmix, unmix.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestEval:

@@ -146,6 +146,11 @@ class TestValidateProblem:
         with pytest.raises(DimensionMismatch):
             validate_problem(rng.uniform(size=(10, 4)), rng.uniform(size=(9, 2)))
 
+    def test_wide_raw_endmember_matrix_is_invalid_input(self):
+        # EndmemberMatrix rejects R > L before the band counts are compared
+        with pytest.raises(InvalidInput):
+            validate_problem(np.ones((3, 5)), np.ones((3, 4)))
+
     def test_duplicate_columns_warn(self, rng):
         m = rng.uniform(size=(10, 1))
         M = np.hstack([m, m, rng.uniform(size=(10, 1))])
