@@ -31,6 +31,11 @@ EXIT_DIVERGED = 3
 EXIT_TUNING = 4
 
 
+def _g(value) -> str:
+    """value in %g form, with a one-digit exponent written short (1e-5, not 1e-05)."""
+    return f"{value:g}".replace("e-0", "e-")
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write a synthetic cube (Y, M, X_true, truth meta)")
     p.add_argument("--model", choices=("lmm", "ppnmm"), default="lmm")
@@ -63,10 +68,12 @@ def _add_algorithms(sub):
                 "--sigma-auto",
                 action="store_true",
                 help="search the bandwidth: start at sqrt(R/8L)*||Y - M X_ls||_F (floored to "
-                "1e-6*max(1, ||Y||_F/sqrt(LT))), grow by 1.2, divide the start by p after "
-                "divergence beyond 1000x, accept at reconstruction ratio < 2, give up after 60 attempts, "
-                "or at the first ratio >= 2 when the best feasible fit's ratio (fcls, or NNLS for "
-                "cusal-sp) is >= 2 as well",
+                f"1e-6*max(1, ||Y||_F/sqrt(LT))), grow by {_g(solvers._TUNER_GROWTH)}, divide the "
+                f"start by p after divergence beyond {_g(solvers._TUNER_OVERESTIMATE)}x, accept at "
+                f"reconstruction ratio < {_g(solvers._TUNER_RATIO_LIMIT)}, give up after "
+                f"{_g(solvers._TUNER_ATTEMPT_CAP)} attempts, or at the first ratio >= "
+                f"{_g(solvers._TUNER_RATIO_LIMIT)} when the best feasible fit's ratio (fcls, or "
+                f"NNLS for cusal-sp) is >= {_g(solvers._TUNER_RATIO_LIMIT)} as well",
             )
             p.add_argument(
                 "--rho", type=float, default=SolverConfig.rho,
@@ -103,17 +110,19 @@ def _add_experiment(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    primal, dual = (f"sqrt(R*T)*{_g(v)}" for v in (SolverConfig.eps_primal, SolverConfig.eps_dual))
+    thresholds = primal if primal == dual else f"{primal} (primal), {dual} (dual)"
     parser = argparse.ArgumentParser(
         prog="unmix",
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
         epilog=f"Solver defaults: rho={SolverConfig.rho:g}, "
         f"{SolverConfig.max_outer_iters:g} outer iterations, "
-        "residual thresholds sqrt(R*T)*1e-5. Fixed values, not settings: "
+        f"residual thresholds {thresholds}. Fixed values, not settings: "
         f"{SolverConfig.max_inner_iters:g} half-quadratic step per x-update (majorized ADMM), "
         "which minimizes the weighted least-squares majorizer of the x-subproblem "
         "(unit step; a step that does not lower the subproblem ends the x-update), "
-        "inner tolerance 1e-6. "
+        f"inner tolerance {_g(solvers._INNER_TOL)}. "
         "Exit codes: 0 ok, 2 input error, 3 diverged, 4 tuning failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,11 +294,11 @@ def cmd_experiment(args) -> int:
 
 def _join_negative_values(argv):
     """Fold values that start with '-' into '--flag=value' form so argparse
-    accepts e.g. `--b-range -3,3`."""
+    accepts e.g. `--b-range -3,3` and `--snr -1e1`."""
     out = []
     it = iter(argv)
     for tok in it:
-        if tok in ("--b-range", "--exclude"):
+        if tok in ("--b-range", "--exclude", "--snr"):
             nxt = next(it, None)
             if nxt is None:
                 out.append(tok)

@@ -1,8 +1,14 @@
 """Domain types, validation, and the projection/proximal operators shared by all solvers.
 
-All domain types freeze their arrays at construction (read-only views), so
-instances are safe to share across threads; the operations here are pure
-functions, and a ProblemHandle fits least squares once, when first asked.
+The matrix domain types (ObservationMatrix, EndmemberMatrix, AbundanceMatrix,
+and correntropy.ReducedAbundance) share one private base, which copies the
+input once into a read-only float64 2-D array of finite entries. numpy reads
+an instance as that array (np.asarray(m) is m.data), so every function that
+takes a matrix reads it with np.asarray(x, dtype=float), or with the type's
+own constructor where that validates, and takes a raw array or any domain
+type alike. Frozen instances are safe to share across threads; the operations
+here are pure functions, and a ProblemHandle fits least squares once, when
+first asked.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -76,49 +82,56 @@ class MaxItersWarning(UserWarning):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-def _as_matrix(data, *, what: str) -> np.ndarray:
-    """Copy `data` into a read-only float64 2-D array, rejecting NaN/Inf."""
-    arr = np.array(data, dtype=float, copy=True)
-    if arr.ndim != 2:
-        raise InvalidInput(f"{what} must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidInput(f"{what} must have at least one row and one column, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteData(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+@dataclass(frozen=True)
+class _Matrix:
+    """A read-only float64 2-D matrix of finite entries, copied at construction;
+    numpy reads it as its data (np.asarray(m) is m.data, np.array(m) a copy)."""
+
+    data: np.ndarray
+    _what: ClassVar[str] = "matrix"
+
+    def __post_init__(self):
+        what, arr = self._what, np.array(self.data, dtype=float, copy=True)
+        if arr.ndim != 2:
+            raise InvalidInput(f"{what} must be a 2-D matrix, got ndim={arr.ndim}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise InvalidInput(f"{what} must have at least one row and one column, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteData(f"{what} contains non-finite entries")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is None:  # numpy 1 never passes copy
+            return np.asarray(self.data, dtype=dtype)
+        return np.array(self.data, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
-class ObservationMatrix:
+class ObservationMatrix(_Matrix):
     """Hyperspectral cube flattened to bands x pixels.
 
     Row l holds band l across all pixels; column t is the spectrum of pixel t.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.data, what="observation matrix"))
+    _what = "observation matrix"
 
 
 @dataclass(frozen=True)
-class EndmemberMatrix:
+class EndmemberMatrix(_Matrix):
     """Known pure-material spectra, one endmember per column (bands x endmembers)."""
 
-    data: np.ndarray
+    _what = "endmember matrix"
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, what="endmember matrix")
-        if arr.shape[1] > arr.shape[0]:
-            raise InvalidInput(
-                f"endmember matrix must be tall (R <= L), got L={arr.shape[0]}, R={arr.shape[1]}"
-            )
-        object.__setattr__(self, "data", arr)
+        super().__post_init__()
+        L, R = self.data.shape
+        if R > L:
+            raise InvalidInput(f"endmember matrix must be tall (R <= L), got L={L}, R={R}")
 
 
 @dataclass(frozen=True)
-class AbundanceMatrix:
+class AbundanceMatrix(_Matrix):
     """Per-pixel mixing coefficients (endmembers x pixels).
 
     `tag` asserts a constraint set the entries were produced under:
@@ -126,26 +139,25 @@ class AbundanceMatrix:
     Tag violations beyond TOL_FEAS are rejected at construction.
     """
 
-    data: np.ndarray
     tag: Optional[str] = None
+    _what = "abundance matrix"
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, what="abundance matrix")
+        super().__post_init__()
         if self.tag not in (None, "fully_constrained", "nonnegative"):
             raise InvalidInput(f"unknown abundance tag {self.tag!r}")
-        if self.tag is not None and arr.min() < -TOL_FEAS:
+        if self.tag is not None and self.data.min() < -TOL_FEAS:
             raise InvalidInput(
-                f"tag {self.tag!r} requires entries >= -{TOL_FEAS}, got min {arr.min():.3e}"
+                f"tag {self.tag!r} requires entries >= -{TOL_FEAS}, got min {self.data.min():.3e}"
             )
         if self.tag == "fully_constrained":
-            colsums = arr.sum(axis=0)
+            colsums = self.data.sum(axis=0)
             worst = np.max(np.abs(colsums - 1.0))
             if worst > TOL_FEAS:
                 raise InvalidInput(
                     f"tag 'fully_constrained' requires column sums = 1 +/- {TOL_FEAS}, "
                     f"worst deviation {worst:.3e}"
                 )
-        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -343,11 +355,8 @@ def validate_problem(Y, M) -> ProblemHandle:
     RankDeficiencyWarning when the normal-equations condition estimate exceeds
     COND_LIMIT (e.g. duplicated endmember columns).
     """
-    Ydata = Y.data if isinstance(Y, ObservationMatrix) else _as_matrix(Y, what="observation matrix")
-    if isinstance(M, EndmemberMatrix):
-        Mdata = M.data
-    else:
-        Mdata = EndmemberMatrix(M).data
+    Ydata = ObservationMatrix(Y).data
+    Mdata = EndmemberMatrix(M).data
     L, T = Ydata.shape
     LM, R = Mdata.shape
     if L != LM:
@@ -364,8 +373,8 @@ def validate_problem(Y, M) -> ProblemHandle:
 
 def linear_mix(M, X) -> np.ndarray:
     """Predicted observations M @ X of the linear mixing model."""
-    Mdata = M.data if isinstance(M, EndmemberMatrix) else np.asarray(M, dtype=float)
-    Xdata = X.data if isinstance(X, AbundanceMatrix) else np.asarray(X, dtype=float)
+    Mdata = np.asarray(M, dtype=float)
+    Xdata = np.asarray(X, dtype=float)
     if Mdata.shape[1] != Xdata.shape[0]:
         raise DimensionMismatch(
             f"M has {Mdata.shape[1]} endmembers but X has {Xdata.shape[0]} rows"

@@ -25,21 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidInput, ProblemHandle, _as_matrix
+from .core import DimensionMismatch, InvalidInput, ProblemHandle, _Matrix
 
 
 @dataclass(frozen=True)
-class ReducedAbundance:
+class ReducedAbundance(_Matrix):
     """Free abundances after eliminating the last row via the sum-to-one constraint.
 
     Holds the (R-1) x T matrix of free variables; the eliminated row is
     1 - (column sum), so reconstruction always yields unit column sums.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.data, what="reduced abundance matrix"))
+    _what = "reduced abundance matrix"
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class ResidualCache:
 
 def reduce_abundances(X) -> ReducedAbundance:
     """Drop the last abundance row, keeping the R-1 free rows."""
-    arr = np.asarray(X.data if hasattr(X, "data") else X, dtype=float)
+    arr = np.asarray(X, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise InvalidInput("need an R x T matrix with R >= 2 to eliminate one row")
     return ReducedAbundance(arr[:-1, :])
@@ -60,7 +57,7 @@ def reduce_abundances(X) -> ReducedAbundance:
 
 def reconstruct_full(Xr) -> np.ndarray:
     """Rebuild the full R x T matrix; the appended row makes every column sum to 1."""
-    arr = np.asarray(Xr.data if isinstance(Xr, ReducedAbundance) else Xr, dtype=float)
+    arr = np.asarray(Xr, dtype=float)
     if arr.ndim != 2:
         raise InvalidInput("reduced abundances must be 2-D")
     last = 1.0 - arr.sum(axis=0)
@@ -68,7 +65,7 @@ def reconstruct_full(Xr) -> np.ndarray:
 
 
 def _check_shapes(handle: ProblemHandle, X: np.ndarray, reduced: bool) -> np.ndarray:
-    arr = np.asarray(X.data if hasattr(X, "data") else X, dtype=float)
+    arr = np.asarray(X, dtype=float)
     rows = handle.R - 1 if reduced else handle.R
     if arr.shape != (rows, handle.T):
         raise DimensionMismatch(f"expected shape {(rows, handle.T)}, got {arr.shape}")

@@ -34,7 +34,7 @@ class ParseError(UnmixError):
 
 
 def write_matrix(path, matrix) -> None:
-    arr = np.asarray(matrix.data if hasattr(matrix, "data") else matrix, dtype=float)
+    arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ShapeMismatch("only 2-D matrices can be written")
     rows, cols = arr.shape

@@ -1,6 +1,9 @@
 """Evaluation metrics: abundance RMSE, signal-to-reconstruction error in dB,
 and the averaged spectral angle distance between observed and reconstructed
-spectra."""
+spectra.
+
+Each metric takes two equal-shape 2-D matrices, as arrays or domain types; a
+NaN or infinite entry in either raises NonFiniteData."""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     InvalidInput,
+    NonFiniteData,
     UndefinedMetric,
     ZeroNormSpectrum,
     _norm,
@@ -46,12 +50,14 @@ class MetricResult:
 
 
 def _pair(a, b):
-    A = np.asarray(a.data if hasattr(a, "data") else a, dtype=float)
-    B = np.asarray(b.data if hasattr(b, "data") else b, dtype=float)
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
     if A.ndim != 2:
         raise InvalidInput("metrics expect 2-D matrices")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise NonFiniteData("metrics need finite matrices")
     return A, B
 
 
@@ -135,7 +141,7 @@ def sad(Y, Y_hat, exclude_bands=()) -> float:
 
 def evaluate_metric(name: str, truth, estimate, exclude_bands=()) -> MetricResult:
     """Dispatch by metric name and wrap the value with its pixel count."""
-    t = np.asarray(truth.data if hasattr(truth, "data") else truth, dtype=float)
+    t = np.asarray(truth, dtype=float)
     n_items = t.shape[1] if t.ndim == 2 else 0
     if name == "RMSE":
         return MetricResult("RMSE", rmse(truth, estimate), n_items)

@@ -490,7 +490,7 @@ def reconstruction_ratio(handle: ProblemHandle, X) -> float:
     When the least-squares fit is exact the ratio is reported as 0 for an
     (essentially) exact X and infinity otherwise.
     """
-    Xdata = X.data if isinstance(X, AbundanceMatrix) else np.asarray(X, dtype=float)
+    Xdata = np.asarray(X, dtype=float)
     num = _norm(handle.Y - handle.M @ Xdata)
     if handle.ls_residual > 0:
         return num / handle.ls_residual

@@ -109,7 +109,7 @@ def gen_cube(M, spec: SyntheticSpec):
     and the requested SNR (snr_db = inf disables noise); finally n_corrupt
     uniformly chosen bands are overwritten with uniform [0, 1] values.
     """
-    Mdata = M.data if isinstance(M, EndmemberMatrix) else EndmemberMatrix(M).data
+    Mdata = EndmemberMatrix(M).data
     if Mdata.shape != (spec.L, spec.R):
         raise DimensionMismatch(
             f"endmember matrix {Mdata.shape} does not match recipe (L={spec.L}, R={spec.R})"

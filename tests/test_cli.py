@@ -104,6 +104,18 @@ class TestGenerate:
         assert [p.name for p in tmp_path.iterdir()] == ["cube"]
         assert (tmp_path / "cube").read_text() == "a file\n"
 
+    @pytest.mark.parametrize("snr", ["-1e1", "-1E1"])
+    def test_negative_snr_in_exponent_form(self, tmp_path, snr):
+        # argparse reads '-1e1' alone as an option; the CLI joins it to --snr
+        for name, value in (("exp", snr), ("int", "-10")):
+            code = run_cli(
+                "generate", "--R", 3, "--L", 20, "--T", 5, "--snr", value, "--seed", 2,
+                "--out-dir", tmp_path / name,
+            )
+            assert code == EXIT_OK
+        for name in ("Y.txt", "truth_meta.txt"):
+            assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
     def test_b_range_needs_two_values(self, tmp_path, capsys):
         # the same converter as the experiment config's b_range key
         out = tmp_path / "cube"
@@ -337,6 +349,33 @@ class TestUnmixCommands:
         assert exited.value.code == EXIT_OK
         shown = capsys.readouterr().out
         assert "--max-iters" in shown and "--max-inner-iters" not in shown
+
+
+class TestHelp:
+    # each constant, set to a new value, and the help text that shows it
+    @pytest.mark.parametrize(
+        "owner, name, value, command, shown",
+        [
+            pytest.param(*case, id=case[1].lstrip("_"))
+            for case in (
+                (solvers, "_TUNER_GROWTH", 1.5, "cusal-fc", "grow by 1.5,"),
+                (solvers, "_TUNER_OVERESTIMATE", 500.0, "cusal-sp", "beyond 500x,"),
+                (solvers, "_TUNER_RATIO_LIMIT", 3.0, "cusal-fc", "ratio < 3, "),
+                (solvers, "_TUNER_ATTEMPT_CAP", 40, "cusal-fc", "after 40 attempts"),
+                (solvers, "_INNER_TOL", 3e-7, None, "inner tolerance 3e-7."),
+                (SolverConfig, "eps_primal", 2e-5, None, "*2e-5 (primal), sqrt(R*T)*1e-5 (dual)."),
+                (SolverConfig, "eps_dual", 2e-5, None, "*1e-5 (primal), sqrt(R*T)*2e-5 (dual)."),
+            )
+        ],
+    )
+    def test_help_reads_the_library_constants(
+        self, owner, name, value, command, shown, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(owner, name, value)
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*([command] if command else []), "--help")
+        assert exited.value.code == EXIT_OK
+        assert shown in " ".join(capsys.readouterr().out.split())
 
 
 class TestOutputDestinations:

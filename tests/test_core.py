@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,13 +12,27 @@ from unmix import (
     NonFiniteData,
     ObservationMatrix,
     RankDeficiencyWarning,
+    ReducedAbundance,
     SolverConfig,
     SolverReport,
+    SyntheticSpec,
     Termination,
+    evaluate_metric,
+    gen_cube,
+    linear_mix,
+    objective_C,
+    objective_reduced_f1,
     project_nonnegative,
+    reconstruct_full,
+    reconstruction_ratio,
+    reduce_abundances,
+    rmse,
+    sad,
     soft_threshold,
+    sre_db,
     validate_problem,
 )
+from unmix.fileio import write_matrix
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
 
@@ -165,3 +181,71 @@ class TestValidateProblem:
         np.testing.assert_array_equal(h1.Y, h2.Y)
         np.testing.assert_array_equal(h1.M, h2.M)
         assert (h1.L, h1.T, h1.R) == (h2.L, h2.T, h2.R)
+
+
+DOMAIN_TYPES = (ObservationMatrix, EndmemberMatrix, AbundanceMatrix, ReducedAbundance)
+
+
+class TestArrayLike:
+    # L=6 bands, R=3 endmembers, T=2 pixels: every matrix is tall, so each
+    # domain type can wrap each of them
+    @pytest.fixture
+    def calls(self, rng, tmp_path):
+        """Each matrix-taking function as (name, matrix, call of that matrix)."""
+        M = rng.uniform(0.1, 1.0, size=(6, 3))
+        X = rng.dirichlet(np.ones(3), size=2).T
+        Y = M @ X + 0.01 * rng.standard_normal((6, 2))
+        h = validate_problem(Y, M)
+        spec = SyntheticSpec(model="lmm", R=3, L=6, T=2, snr_db=30.0, n_corrupt=1, seed=4)
+
+        def written(A):
+            write_matrix(tmp_path / "A.txt", A)
+            return (tmp_path / "A.txt").read_bytes()
+
+        return [
+            ("validate_problem Y", Y, lambda A: validate_problem(A, M).Y),
+            ("validate_problem M", M, lambda A: validate_problem(Y, A).M),
+            ("linear_mix M", M, lambda A: linear_mix(A, X)),
+            ("linear_mix X", X, lambda A: linear_mix(M, A)),
+            ("reduce_abundances", X, lambda A: reduce_abundances(A).data),
+            ("reconstruct_full", X[:-1], reconstruct_full),
+            ("objective_C", X, lambda A: objective_C(h, A, 0.1)),
+            ("objective_reduced_f1", X[:-1], lambda A: objective_reduced_f1(h, A, 0.1)),
+            ("reconstruction_ratio", X, lambda A: reconstruction_ratio(h, A)),
+            ("rmse truth", X, lambda A: rmse(A, X + 0.1)),
+            ("rmse estimate", X, lambda A: rmse(X + 0.1, A)),
+            ("sre_db", X, lambda A: sre_db(A, X + 0.1)),
+            ("sad", Y, lambda A: sad(Y + 0.1, A, exclude_bands=(1,))),
+            ("evaluate_metric", Y, lambda A: evaluate_metric("SAD_rad", A, Y + 0.1).value),
+            ("write_matrix", Y, written),
+            ("gen_cube", M, lambda A: gen_cube(A, spec)[0].data),
+        ]
+
+    @pytest.mark.parametrize("wrap", DOMAIN_TYPES, ids=lambda t: t.__name__)
+    def test_functions_take_every_domain_type(self, wrap, calls):
+        # the same bits from a raw array and from the domain type wrapping it
+        differ = []
+        for name, A, call in calls:
+            expected = np.asarray(call(A))
+            try:
+                got = np.asarray(call(wrap(A)))
+            except TypeError as exc:
+                differ.append(f"{name}: {exc}")
+                continue
+            if got.dtype != expected.dtype or got.tobytes() != expected.tobytes():
+                differ.append(f"{name}: {got!r} != {expected!r}")
+        assert differ == []
+
+    @pytest.mark.parametrize("wrap", DOMAIN_TYPES, ids=lambda t: t.__name__)
+    def test_numpy_reads_the_data(self, wrap):
+        m = wrap(np.arange(6.0).reshape(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.asarray(m) is m.data
+            assert np.asarray(m, dtype=float) is m.data
+            copied = np.array(m)
+        assert not m.data.flags.writeable
+        assert copied is not m.data and copied.flags.writeable
+        copied[0, 0] = 7.0
+        assert m.data[0, 0] == 0.0
+        np.testing.assert_array_equal(copied[1:], m.data[1:])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from unmix import (
     DimensionMismatch,
+    NonFiniteData,
     UndefinedMetric,
     ZeroNormSpectrum,
     evaluate_metric,
@@ -13,7 +15,7 @@ from unmix import (
     sad,
     sre_db,
 )
-from unmix.metrics import MetricResult
+from unmix.metrics import LOWER_IS_BETTER, MetricResult
 
 
 class TestRmse:
@@ -142,3 +144,24 @@ class TestMetricResult:
         X = np.array([[1.0], [2.0]])
         val = sre_db(X, X + scale * np.array([[1.0], [-0.5]]))
         assert math.isfinite(val)
+
+
+# every metric entry point, each taking (truth, estimate)
+METRIC_CALLS = {
+    "rmse": rmse,
+    "sre_db": sre_db,
+    "sad": sad,
+    **{f"evaluate-{name}": functools.partial(evaluate_metric, name) for name in LOWER_IS_BETTER},
+}
+
+
+class TestNonFiniteInput:
+    # a NaN or infinite entry in either matrix is named, not turned into a value
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["truth", "estimate"])
+    @pytest.mark.parametrize("metric", METRIC_CALLS.values(), ids=list(METRIC_CALLS))
+    def test_non_finite_entry_raises(self, metric, side, bad, rng):
+        pair = [rng.uniform(0.1, 1.0, size=(4, 3)) for _ in range(2)]
+        pair[side][2, 1] = bad
+        with pytest.raises(NonFiniteData, match="finite"):
+            metric(*pair)
