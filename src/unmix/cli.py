@@ -68,12 +68,13 @@ def _add_algorithms(sub):
                 "--sigma-auto",
                 action="store_true",
                 help="search the bandwidth: start at sqrt(R/8L)*||Y - M X_ls||_F (floored to "
-                f"1e-6*max(1, ||Y||_F/sqrt(LT))), grow by {_g(solvers._TUNER_GROWTH)}, divide the "
-                f"start by p after divergence beyond {_g(solvers._TUNER_OVERESTIMATE)}x, accept at "
-                f"reconstruction ratio < {_g(solvers._TUNER_RATIO_LIMIT)}, give up after "
-                f"{_g(solvers._TUNER_ATTEMPT_CAP)} attempts, or at the first ratio >= "
-                f"{_g(solvers._TUNER_RATIO_LIMIT)} when the best feasible fit's ratio (fcls, or "
-                f"NNLS for cusal-sp) is >= {_g(solvers._TUNER_RATIO_LIMIT)} as well",
+                f"{_g(solvers._SIGMA_FLOOR)}*max(1, ||Y||_F/sqrt(LT))), grow by "
+                f"{_g(solvers._TUNER_GROWTH)}, divide the start by p after divergence beyond "
+                f"{_g(solvers._TUNER_OVERESTIMATE)}x, accept at reconstruction ratio < "
+                f"{_g(solvers._TUNER_RATIO_LIMIT)}, give up after {_g(solvers._TUNER_ATTEMPT_CAP)} "
+                f"attempts, or at the first ratio >= {_g(solvers._TUNER_RATIO_LIMIT)} when the "
+                f"best feasible fit's ratio (fcls, or NNLS for cusal-sp) is >= "
+                f"{_g(solvers._TUNER_RATIO_LIMIT)} as well",
             )
             p.add_argument(
                 "--rho", type=float, default=SolverConfig.rho,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -160,12 +161,21 @@ class AbundanceMatrix(_Matrix):
                 )
 
 
+def _check_sigma(sigma) -> float:
+    """sigma as a float; 2 sigma^2 must be a finite normal float, so that the
+    kernel's 2 sigma^2 and the gradient's 1 / sigma^2 are finite and nonzero."""
+    s = float(sigma) if isinstance(sigma, numbers.Real) else math.nan
+    if not (s > 0 and np.finfo(float).tiny <= 2.0 * s * s < math.inf):
+        raise InvalidInput(f"sigma must be > 0 with 2*sigma^2 a finite normal float: {sigma}")
+    return s
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters shared by the correntropy solvers.
 
-    sigma           Gaussian kernel bandwidth; required unless sigma_auto, and
-                    rejected with it.
+    sigma           Gaussian kernel bandwidth, > 0 with 2 sigma^2 a finite normal
+                    float; required unless sigma_auto, and rejected with it.
     rho             ADMM penalty.
     lam             l1 weight for the sparsity-promoting problem.
     eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
@@ -195,8 +205,8 @@ class SolverConfig:
     sigma_auto: bool = False
 
     def __post_init__(self):
-        if self.sigma is not None and not (self.sigma > 0 and np.isfinite(self.sigma)):
-            raise InvalidInput("sigma must be a positive finite real")
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
         if self.sigma is not None and self.sigma_auto:
             raise InvalidInput("sigma and sigma_auto are exclusive: set one of them")
         for name in ("rho", "eps_primal", "eps_dual"):
@@ -225,9 +235,8 @@ class SolverReport:
     """Per-iteration diagnostics of one ADMM run.
 
     objective_trace holds the kernel term at each iteration's x, read from the
-    x-update's last kernel pass: objective_C bit for bit for cusal_sp; for
-    cusal_fc the kernel term of the reduced fit, equal to objective_C at the
-    full x to rounding. tuning is the bandwidth search's TuningTrace when the
+    x-update's last kernel pass: objective_C at the full x, bit for bit, for
+    both solvers. tuning is the bandwidth search's TuningTrace when the
     run is the accepted attempt of a sigma_auto solve, None otherwise.
     """
 

@@ -3,7 +3,8 @@
 Both parameterizations are provided: the full abundance matrix (used by the
 sparsity-promoting solver) and the reduced matrix with the last endmember row
 eliminated through the sum-to-one constraint (used by the fully-constrained
-solver).
+solver). The one fit is M X: the reduced objective and gradient are the full
+ones at reconstruct_full(Xr), the gradient mapped by pull, bit for bit.
 
 The objectives, gradients and residual cache go through one kernel pass: the
 residual of the fit, its per-band energies and the Gaussian band weights. The
@@ -12,7 +13,7 @@ reductions go through numpy's fixed-tree pairwise summation: for a given array
 shape, repeated evaluations are bit-identical.
 
 An objective can hand back its pass as a ResidualCache (return_cache=True),
-and a gradient given that cache only forms A'(w * eps) / sigma^2, bit for bit
+and a gradient given that cache only forms M'(w * eps) / sigma^2, bit for bit
 the gradient of a call that makes its own pass. Both can build the residual in
 a caller's (2, L, T) workspace (out=) instead of new L x T arrays. The solvers
 use both: one pass per point serves the objective, the gradient, the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidInput, ProblemHandle, _Matrix
+from .core import DimensionMismatch, InvalidInput, ProblemHandle, _Matrix, _check_sigma
 
 
 @dataclass(frozen=True)
@@ -64,42 +65,30 @@ def reconstruct_full(Xr) -> np.ndarray:
     return np.vstack([arr, last[np.newaxis, :]])
 
 
-def _check_shapes(handle: ProblemHandle, X: np.ndarray, reduced: bool) -> np.ndarray:
+def pull(G: np.ndarray) -> np.ndarray:
+    """E'G, E the linear part of reconstruct_full: rows 1..R-1 of G minus row R."""
+    return G[:-1] - G[-1:]
+
+
+def _check_shapes(handle: ProblemHandle, X, rows: int) -> np.ndarray:
     arr = np.asarray(X, dtype=float)
-    rows = handle.R - 1 if reduced else handle.R
     if arr.shape != (rows, handle.T):
         raise DimensionMismatch(f"expected shape {(rows, handle.T)}, got {arr.shape}")
     return arr
 
 
-def _check_sigma(sigma: float) -> float:
-    if not (np.isscalar(sigma) and np.isfinite(sigma) and sigma > 0):
-        raise InvalidInput("sigma must be a positive finite scalar")
-    return float(sigma)
+def _kernel(handle: ProblemHandle, X: np.ndarray, sigma: float, out):
+    """Residual Y - M X and band weights at the full R x T matrix X.
 
-
-def _operator(handle: ProblemHandle, reduced: bool) -> np.ndarray:
-    """The mixing operator the variables see: M, or Mbar = M[:, :-1] - m_R
-    (m_R the last endmember) for the reduced variables."""
-    return handle.M[:, :-1] - handle.M[:, -1:] if reduced else handle.M
-
-
-def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
-    """Residual Y - (fit) and band weights at X.
-
-    The fit is M X, or Mbar Xr + m_R in the reduced variables, which equals M
-    times the reconstructed full matrix. The residual is built in out[0] and its squares in out[1]; out
-    is a float64 (2, L, T) workspace, a new one when None.
+    The residual is built in out[0] and its squares in out[1]; out is a float64
+    (2, L, T) workspace, a new one when None.
     """
-    arr = _check_shapes(handle, X, reduced)
     sigma = _check_sigma(sigma)
     if out is None:
         out = np.empty((2, handle.L, handle.T))
     elif out.shape != (2, handle.L, handle.T) or out.dtype != np.float64:
         raise DimensionMismatch(f"the workspace must be float64 of shape {(2, handle.L, handle.T)}")
-    eps = np.matmul(_operator(handle, reduced), arr, out=out[0])
-    if reduced:
-        eps += handle.M[:, -1:]
+    eps = np.matmul(handle.M, X, out=out[0])
     np.subtract(handle.Y, eps, out=eps)
     sq = np.multiply(eps, eps, out=out[1])
     # Row-wise residual energy (pairwise sum along the contiguous axis), then
@@ -112,7 +101,7 @@ def _kernel(handle: ProblemHandle, X, sigma: float, reduced: bool, out):
 
 def residual_cache(handle: ProblemHandle, X, sigma: float) -> ResidualCache:
     """Residuals and band weights at X; recomputed fresh on every call."""
-    return _objective(handle, X, sigma, False, True, None)[1]
+    return _objective(handle, _check_shapes(handle, X, handle.R), sigma, True, None)[1]
 
 
 def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
@@ -120,24 +109,24 @@ def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
     return residual_cache(handle, X, sigma).band_weights
 
 
-def _objective(handle: ProblemHandle, X, sigma: float, reduced: bool, return_cache: bool, out):
-    eps, w = _kernel(handle, X, sigma, reduced, out)
+def _objective(handle: ProblemHandle, X: np.ndarray, sigma: float, return_cache: bool, out):
+    eps, w = _kernel(handle, X, sigma, out)
     value = -float(np.sum(w))
     return (value, ResidualCache(eps=eps, band_weights=w)) if return_cache else value
 
 
-def _gradient(handle: ProblemHandle, X, sigma: float, reduced: bool, cache, out):
+def _gradient(handle: ProblemHandle, X: np.ndarray, sigma: float, cache, out):
+    """The gradient in the full matrix, from cache or, without one, a pass at X."""
     if cache is None:
-        cache = _objective(handle, X, sigma, reduced, True, out)[1]
+        cache = _objective(handle, X, sigma, True, out)[1]
     else:
-        _check_shapes(handle, X, reduced)
         _check_sigma(sigma)
         if cache.eps.shape != (handle.L, handle.T) or cache.band_weights.shape != (handle.L,):
             raise DimensionMismatch("the residual cache does not fit this problem")
     weighted = np.multiply(
         cache.band_weights[:, np.newaxis], cache.eps, out=None if out is None else out[1]
     )
-    return -(1.0 / float(sigma) ** 2) * (_operator(handle, reduced).T @ weighted)
+    return -(1.0 / float(sigma) ** 2) * (handle.M.T @ weighted)
 
 
 def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = False, out=None):
@@ -149,7 +138,7 @@ def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = 
     built in out[0] (then the cache's eps, valid until out is used again) and
     its squares in out[1], so the call allocates no L x T array.
     """
-    return _objective(handle, X, sigma, False, return_cache, out)
+    return _objective(handle, _check_shapes(handle, X, handle.R), sigma, return_cache, out)
 
 
 def gradient_full(handle: ProblemHandle, X, sigma: float, *, cache=None, out=None):
@@ -161,20 +150,22 @@ def gradient_full(handle: ProblemHandle, X, sigma: float, *, cache=None, out=Non
     the value of a call without it. out is a workspace as in objective_C;
     with a cache only out[1] is written, so the cache stays valid.
     """
-    return _gradient(handle, X, sigma, False, cache, out)
+    return _gradient(handle, _check_shapes(handle, X, handle.R), sigma, cache, out)
 
 
 def objective_reduced_f1(
     handle: ProblemHandle, Xr, sigma: float, *, return_cache: bool = False, out=None
 ):
-    """Negative correntropy in the reduced variables; equals objective_C at the
-    reconstructed full matrix to rounding (the reduced fit Mbar Xr + m_R rounds
-    differently from M times that matrix). return_cache and out as in
-    objective_C; the cache holds the residual of the reduced fit."""
-    return _objective(handle, Xr, sigma, True, return_cache, out)
+    """Negative correntropy in the reduced variables: objective_C at
+    reconstruct_full(Xr), bit for bit. return_cache and out as in objective_C;
+    the cache is the pass at the full matrix."""
+    Xr = _check_shapes(handle, Xr, handle.R - 1)
+    return _objective(handle, reconstruct_full(Xr), sigma, return_cache, out)
 
 
 def gradient_reduced_f1(handle: ProblemHandle, Xr, sigma: float, *, cache=None, out=None):
-    """Exact gradient of objective_reduced_f1, shape (R-1) x T; cache (from
+    """Exact gradient of objective_reduced_f1, shape (R-1) x T: pull of
+    gradient_full at reconstruct_full(Xr), bit for bit. cache (from
     objective_reduced_f1 at this Xr) and out as in gradient_full."""
-    return _gradient(handle, Xr, sigma, True, cache, out)
+    Xr = _check_shapes(handle, Xr, handle.R - 1)
+    return pull(_gradient(handle, reconstruct_full(Xr) if cache is None else Xr, sigma, cache, out))

@@ -14,11 +14,11 @@ thresholding followed by projection onto the first orthant.
 The x-update takes half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
 the x-subproblem lies below the quadratic whose gradient there is g and whose
-Hessian is, per pixel, the small SPD matrix P = A' W A / sigma^2 + rho E'E (A
-the mixing operator seen by the free variables, W the band weights at the
-iterate, E the linear part of full). The step x - P^-1 g minimizes that
-quadratic, so it lowers the objective by at least g' P^-1 g / 2; one solve of P
-with all T pixels as right-hand sides makes one step. The steps run in
+Hessian is, per pixel, the small SPD matrix P = E'(M' W M / sigma^2 + rho I)E
+(W the band weights at the iterate, E the linear part of full, so E' is pull).
+The step x - P^-1 g minimizes that quadratic, so it lowers the objective by at
+least g' P^-1 g / 2; one solve of P with all T pixels as right-hand sides makes
+one step. The steps run in
 inner_gradient_descent at unit length; a step that fails its sufficient-decrease
 test, which only rounding could cause, ends the x-update at the point before it.
 
@@ -38,10 +38,8 @@ per x-update is at most once per outer iteration. The passes build their
 residual and its squares in a workspace of two L x T arrays that the run owns,
 so they allocate no L x T array. The full matrix and the coupling residual
 are built once per point too, and the outer loop's stopping rule reads the two
-residual norms of its report. The trace is the kernel term at the free rows of
-the iterate: for the fully-constrained solver the kernel term of the reduced
-fit, equal to objective_C at the full iterate to rounding; for the
-sparsity-promoting solver objective_C bit for bit.
+residual norms of its report. The trace is the kernel term at the iterate:
+objective_C at the full x, bit for bit, for both solvers.
 
 Stacked vectors follow the pixel-major convention x = [x_1' ... x_T']', i.e.
 `vec = X.T.ravel()` for an R x T abundance matrix.
@@ -77,11 +75,11 @@ from .core import (
     project_nonnegative,
 )
 from .correntropy import (
-    _operator,
     gradient_full,
     gradient_reduced_f1,
     objective_C,
     objective_reduced_f1,
+    pull,
     reconstruct_full,
 )
 
@@ -93,6 +91,8 @@ _TUNER_ATTEMPT_CAP = 60
 _TUNER_GROWTH = 1.2
 _TUNER_OVERESTIMATE = 1000.0
 _TUNER_RATIO_LIMIT = 2.0
+# The tuner's smallest starting bandwidth, relative to the data's RMS scale.
+_SIGMA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -305,19 +305,19 @@ class _HalfQuadratic:
     """One run's x-subproblem and its half-quadratic x-update, for either
     parameterization of the abundances.
 
-    The free variables Xi (n x T, n = A.shape[1]; stacked pixel-major as xi)
+    The free variables Xi (the first n rows, n x T; stacked pixel-major as xi)
     give the full R x T matrix full(Xi), and the x-subproblem at (z, u) is
 
         kernel(Xi) + rho/2 ||full(Xi) - (Z + U)||^2,
 
-    kernel the correntropy term of the fit seen through the mixing operator A.
-    With D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
-    rho pull(D), pull = E' the adjoint of full's linear part E, and the
-    coupling's curvature per pixel is rho E'E. x_update(x_prev, z, u)
-    takes up to max_inner_iters steps of inner_gradient_descent (one by
-    default) from the free rows of x_prev along d = P^-1 g,
-    P = A' W A / sigma^2 + rho E'E, and returns full of the result, stacked.
-    rho is read once, when the run builds its x-update.
+    kernel the correntropy term of the fit M full(Xi). With
+    D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
+    rho pull(D), pull = E' the adjoint of full's linear part E.
+    x_update(x_prev, z, u) takes up to max_inner_iters steps of
+    inner_gradient_descent (one by default) from the free rows of x_prev along
+    d = P^-1 g, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
+    and returns full of the result, stacked. rho is read once, when the run
+    builds its x-update.
 
     kernel_objective(Xi, out) returns the kernel term at Xi with the
     ResidualCache of its kernel pass, and kernel_gradient(Xi, cache, out) the
@@ -332,13 +332,12 @@ class _HalfQuadratic:
     """
 
     def __init__(
-        self, handle: ProblemHandle, config: SolverConfig, sigma: float, A,
-        kernel_objective, kernel_gradient, *, EtE, full, pull,
+        self, handle: ProblemHandle, config: SolverConfig, sigma: float, n: int,
+        kernel_objective, kernel_gradient, *, full, pull,
     ):
-        self.R, self.T = handle.R, handle.T
-        self.A, self.full, self.pull, self.sigma = A, full, pull, sigma
+        self.R, self.T, self.n = handle.R, handle.T, n
+        self.M, self.full, self.pull, self.sigma = handle.M, full, pull, sigma
         self.rho = config.rho
-        self.curvature = self.rho * EtE
         self.max_inner_iters = config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
         self.work = np.empty((2, handle.L, handle.T))
@@ -353,10 +352,10 @@ class _HalfQuadratic:
 
     def free(self, x_vec: np.ndarray) -> np.ndarray:
         """The free rows of a stacked full vector, stacked pixel-major."""
-        return x_vec.reshape(self.T, self.R)[:, : self.A.shape[1]].ravel()
+        return x_vec.reshape(self.T, self.R)[:, : self.n].ravel()
 
     def _matrix(self, xi: np.ndarray) -> np.ndarray:
-        return xi.reshape(self.T, self.A.shape[1]).T
+        return xi.reshape(self.T, self.n).T
 
     def value(self, xi: np.ndarray) -> float:
         if xi is not self.x:
@@ -370,8 +369,9 @@ class _HalfQuadratic:
 
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.value(xi)
-        P = (self.A.T * self.weights) @ self.A / self.sigma**2 + self.curvature
-        return np.linalg.solve(P, g.reshape(-1, self.A.shape[1]).T).T.ravel()
+        H = (self.M.T * self.weights) @ self.M / self.sigma**2 + self.rho * np.eye(self.R)
+        P = self.pull(self.pull(H).T).T
+        return np.linalg.solve(P, g.reshape(-1, self.n).T).T.ravel()
 
     def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         V = _mat(z + u, self.R, self.T)
@@ -434,13 +434,12 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     R, T = handle.R, handle.T
     if R < 2:
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
-    # the free rows are all but the last, X = E Xi + e_R; pull is E' and the
-    # coupling's curvature rho E'E = rho (I + 11')
+    # the free rows are all but the last, X = E Xi + e_R, and pull is E'
     hq = _HalfQuadratic(
-        handle, config, sigma, _operator(handle, True),
+        handle, config, sigma, R - 1,
         lambda Xr, out: objective_reduced_f1(handle, Xr, sigma, return_cache=True, out=out),
         lambda Xr, cache, out: gradient_reduced_f1(handle, Xr, sigma, cache=cache, out=out),
-        EtE=np.eye(R - 1) + 1.0, full=reconstruct_full, pull=lambda D: D[:-1] - D[-1:],
+        full=reconstruct_full, pull=pull,
     )
     state, report = _run_admm(config, hq, project_nonnegative, X0, on_iteration)
     X = _feasible_fc(_mat(state.z, R, T), _mat(state.x, R, T))
@@ -449,10 +448,10 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     hq = _HalfQuadratic(
-        handle, config, sigma, _operator(handle, False),
+        handle, config, sigma, handle.R,
         lambda X, out: objective_C(handle, X, sigma, return_cache=True, out=out),
         lambda X, cache, out: gradient_full(handle, X, sigma, cache=cache, out=out),
-        EtE=np.eye(handle.R), full=lambda X: X, pull=lambda D: D,
+        full=lambda X: X, pull=lambda D: D,
     )
     thresh = config.lam / config.rho
     state, report = _run_admm(
@@ -498,14 +497,11 @@ def reconstruction_ratio(handle: ProblemHandle, X) -> float:
     return 0.0 if num <= atol else float("inf")
 
 
-def _sigma_floor(handle: ProblemHandle) -> float:
-    return 1e-6 * max(1.0, _norm(handle.Y) / np.sqrt(handle.L * handle.T))
-
-
 def _initial_sigma(handle: ProblemHandle) -> tuple[float, float]:
     """Raw data-driven bandwidth and its positive floored version."""
     sigma0_raw = np.sqrt(handle.R / (8.0 * handle.L)) * handle.ls_residual
-    return sigma0_raw, max(sigma0_raw, _sigma_floor(handle))
+    floor = _SIGMA_FLOOR * max(1.0, _norm(handle.Y) / np.sqrt(handle.L * handle.T))
+    return sigma0_raw, max(sigma0_raw, floor)
 
 
 def _tune(handle: ProblemHandle, algorithm: str, config: SolverConfig, X0, on_iteration):
@@ -592,10 +588,10 @@ def cusal_fc(
     The x-update takes a half-quadratic step on the reduced objective plus
     the scaled quadratic coupling from the previous iterate (at most
     config.max_inner_iters steps, one by default), each one solve of the
-    (R-1) x (R-1) matrix Mbar' W Mbar / sigma^2 + rho (I + 11') (Mbar the
-    other endmembers minus the last one, W the band weights of the reduced
-    fit's kernel pass at the iterate), reconstructs the full vector (unit
-    column sums by construction), projects for z, and updates the dual.
+    (R-1) x (R-1) matrix E'(M' W M / sigma^2 + rho I)E (E the linear part of
+    reconstruct_full, W the band weights of the kernel pass at the full
+    iterate), reconstructs the full vector (unit column sums by construction),
+    projects for z, and updates the dual.
     Returns the feasible solution (nonnegative, exact unit column sums) and the
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
     the accepted attempt is returned, its report carrying the TuningTrace.

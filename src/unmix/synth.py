@@ -56,8 +56,10 @@ class SyntheticSpec:
         lo, hi = self.b_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InvalidInput("b_range must be a finite (lo, hi) interval")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise InvalidInput("snr_db must be a real number or +inf")
+        with np.errstate(over="ignore"):
+            power = np.float64(10.0) ** (self.snr_db / 10.0)  # 0 at -inf, nan at nan
+        if not (0.0 < power < math.inf or self.snr_db == math.inf):
+            raise InvalidInput(f"snr_db must be +inf or have 10^(snr_db/10) finite and > 0: {self.snr_db:g}")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,17 @@ class TestGenerate:
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_snr_out_of_float_range_is_input_error(self, tmp_path, capsys, snr):
+        # 10^(snr/10) overflows, or underflows to 0
+        out = tmp_path / "cube"
+        code = run_cli(
+            "generate", "--R", 3, "--L", 20, "--T", 5, f"--snr={snr}", "--out-dir", out,
+        )
+        assert code == EXIT_INPUT
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out_dir", ["cube", "cube/sub"], ids=["file", "under-a-file"])
     def test_out_dir_at_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch, out_dir):
         (tmp_path / "cube").write_text("a file\n")
@@ -322,6 +333,18 @@ class TestUnmixCommands:
         assert "sigma and sigma_auto" in capsys.readouterr().err
         assert not (tmp_path / "X.txt").exists()
 
+    @pytest.mark.parametrize("name", ["cusal-fc", "cusal-sp"])
+    @pytest.mark.parametrize("sigma", ["1e170", "1e-200"])
+    def test_sigma_out_of_float_range_is_input_error(self, small_cube, tmp_path, capsys, name, sigma):
+        # 2 sigma^2 overflows, or underflows to 0
+        code = run_cli(
+            name, small_cube / "Y.txt", small_cube / "M.txt", "--sigma", sigma,
+            "--out", tmp_path / "X.txt",
+        )
+        assert code == EXIT_INPUT
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "X.txt").exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli("ls", tmp_path / "nope.txt", tmp_path / "nope2.txt")
         assert code == EXIT_INPUT
@@ -358,6 +381,7 @@ class TestHelp:
         [
             pytest.param(*case, id=case[1].lstrip("_"))
             for case in (
+                (solvers, "_SIGMA_FLOOR", 2e-7, "cusal-fc", "(floored to 2e-7*max(1, "),
                 (solvers, "_TUNER_GROWTH", 1.5, "cusal-fc", "grow by 1.5,"),
                 (solvers, "_TUNER_OVERESTIMATE", 500.0, "cusal-sp", "beyond 500x,"),
                 (solvers, "_TUNER_RATIO_LIMIT", 3.0, "cusal-fc", "ratio < 3, "),

@@ -141,6 +141,12 @@ class TestDomainTypes:
                 SolverConfig(**{name: bad})
         with pytest.raises(InvalidInput, match="sigma and sigma_auto"):
             SolverConfig(sigma=0.05, sigma_auto=True)
+        # 2 sigma^2 must be a finite normal float: it overflows, underflows to
+        # 0 or is subnormal here
+        for sigma in (1e170, 1e-200, 1e-155, np.nan, "0.5"):
+            with pytest.raises(InvalidInput, match="sigma"):
+                SolverConfig(sigma=sigma)
+        SolverConfig(sigma=np.float32(1e-30))
         SolverConfig(max_outer_iters=np.int64(5), max_inner_iters=np.int32(3))
 
     def test_report_length_and_consistency_checks(self):

@@ -5,6 +5,7 @@ import pytest
 
 from unmix import (
     DimensionMismatch,
+    InvalidInput,
     band_weights,
     gradient_full,
     gradient_reduced_f1,
@@ -118,7 +119,7 @@ class TestGradients:
         Xr = X[:-1]
         G_red = gradient_reduced_f1(h, Xr, 0.9)
         G_full = gradient_full(h, reconstruct_full(Xr), 0.9)
-        np.testing.assert_allclose(G_red, G_full[:-1] - G_full[-1:], atol=1e-10)
+        np.testing.assert_array_equal(G_red, G_full[:-1] - G_full[-1:])
 
 
 class TestReducedForm:
@@ -127,7 +128,7 @@ class TestReducedForm:
         Xr = rng.standard_normal((1, 5))
         f1 = objective_reduced_f1(h, Xr, 1.1)
         c = objective_C(h, reconstruct_full(Xr), 1.1)
-        assert f1 == pytest.approx(c, rel=1e-12)
+        assert f1 == c
 
     def test_all_zero_reduced_is_pure_last_endmember(self, rng):
         h, M, X, Y = random_problem(rng, L=6, R=3, T=4, residual_scale=0.1)
@@ -231,3 +232,27 @@ class TestKernelPassReuse:
         for out in (np.empty((2, 13, 5)), np.empty((2, 12, 5), dtype=np.float32)):
             with pytest.raises(DimensionMismatch):
                 objective_C(h, X, 0.5, out=out)
+
+
+# bandwidths whose 2 sigma^2 overflows, underflows to 0, or is subnormal (then
+# the gradient's 1 / sigma^2 overflows)
+OUT_OF_RANGE_SIGMAS = [1e170, 1e-200, 1e-155]
+
+
+class TestBandwidthRange:
+    @pytest.mark.parametrize("sigma", OUT_OF_RANGE_SIGMAS)
+    @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
+    def test_sigma_with_2_sigma_squared_out_of_float_range_is_invalid(
+        self, objective, gradient, variables, sigma, rng
+    ):
+        h, M, X, Y = random_problem(rng, L=6, R=3, T=4, residual_scale=0.2)
+        V = variables(X)
+        _, cache = objective(h, V, 0.5, return_cache=True)
+        for call in (
+            lambda: objective(h, V, sigma),
+            lambda: gradient(h, V, sigma),
+            lambda: gradient(h, V, sigma, cache=cache),
+            lambda: residual_cache(h, X, sigma),
+        ):
+            with pytest.raises(InvalidInput, match="sigma"):
+                call()

@@ -112,6 +112,8 @@ class TestInvalidConfig:
             ),
             ("seeds = 1,2,3", "seeds = 1,-2", lambda: _spec(seed=-2)),
             ("snr_db = 25", "snr_db = -inf", lambda: _spec(snr_db=-math.inf)),
+            ("snr_db = 25", "snr_db = 4000", lambda: _spec(snr_db=4000.0)),
+            ("snr_db = 25", "snr_db = -4000", lambda: _spec(snr_db=-4000.0)),
             ("R = 3", "R = 3\nendmember_seed = -1", lambda: gen_endmembers(3, 30, seed=-1)),
             (
                 "R = 3",
@@ -121,7 +123,7 @@ class TestInvalidConfig:
         ],
         ids=[
             "max_outer_iters", "model", "R", "corrupt_list", "lambda_grid", "seeds", "snr_db",
-            "endmember_seed", "min_angle_deg",
+            "snr_db-overflow", "snr_db-underflow", "endmember_seed", "min_angle_deg",
         ],
     )
     def test_stops_before_any_cell_runs(self, old, new, owner, tmp_path, monkeypatch, capsys):

@@ -120,6 +120,12 @@ class TestGenCube:
         with pytest.raises(InvalidInput, match=r"\+inf"):
             SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=-math.inf)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.nan])
+    def test_spec_rejects_snr_out_of_float_range(self, snr_db):
+        # 10^(snr_db/10) overflows, underflows to 0, or is nan
+        with pytest.raises(InvalidInput, match="snr_db"):
+            SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=snr_db)
+
     def test_spec_rejects_negative_seed(self):
         with pytest.raises(InvalidInput, match="seed"):
             SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=20.0, seed=-1)
