@@ -161,10 +161,18 @@ class AbundanceMatrix(_Matrix):
                 )
 
 
+def _real(value) -> float:
+    """value as a float when it is a real number that a float can hold, else nan."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _check_sigma(sigma) -> float:
     """sigma as a float; 2 sigma^2 must be a finite normal float, so that the
     kernel's 2 sigma^2 and the gradient's 1 / sigma^2 are finite and nonzero."""
-    s = float(sigma) if isinstance(sigma, numbers.Real) else math.nan
+    s = _real(sigma)
     if not (s > 0 and np.finfo(float).tiny <= 2.0 * s * s < math.inf):
         raise InvalidInput(f"sigma must be > 0 with 2*sigma^2 a finite normal float: {sigma}")
     return s
@@ -176,12 +184,14 @@ class SolverConfig:
 
     sigma           Gaussian kernel bandwidth, > 0 with 2 sigma^2 a finite normal
                     float; required unless sigma_auto, and rejected with it.
-    rho             ADMM penalty.
-    lam             l1 weight for the sparsity-promoting problem.
-    eps_primal/dual per-coordinate residual tolerances; the outer loop stops on
-                    residual norms below sqrt(R*T) times these.
-    max_outer_iters outer iteration cap (integer).
-    max_inner_iters majorize-minimize steps per x-update (integer). The
+    rho             ADMM penalty, a positive finite real.
+    lam             l1 weight for the sparsity-promoting problem, a nonnegative
+                    finite real.
+    eps_primal/dual per-coordinate residual tolerances, positive finite reals;
+                    the outer loop stops on residual norms below sqrt(R*T)
+                    times these.
+    max_outer_iters outer iteration cap (an integer >= 1, not a bool).
+    max_inner_iters majorize-minimize steps per x-update (as the cap). The
                     default 1 is majorized ADMM: every x-update minimizes the
                     x-subproblem's majorizer at the previous iterate once.
                     Larger values take further steps from the same x-update,
@@ -210,14 +220,14 @@ class SolverConfig:
         if self.sigma is not None and self.sigma_auto:
             raise InvalidInput("sigma and sigma_auto are exclusive: set one of them")
         for name in ("rho", "eps_primal", "eps_dual"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
+            if not (0 < _real(getattr(self, name)) < math.inf):
                 raise InvalidInput(f"{name} must be a positive finite real")
-        if not (self.lam >= 0 and np.isfinite(self.lam)):
+        if not (0 <= _real(self.lam) < math.inf):
             raise InvalidInput("lam must be a nonnegative finite real")
         for name in ("max_outer_iters", "max_inner_iters"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value >= 1):
                 raise InvalidInput(f"{name} must be an integer >= 1")
 
 

@@ -41,8 +41,10 @@ are built once per point too, and the outer loop's stopping rule reads the two
 residual norms of its report. The trace is the kernel term at the iterate:
 objective_C at the full x, bit for bit, for both solvers.
 
-Stacked vectors follow the pixel-major convention x = [x_1' ... x_T']', i.e.
-`vec = X.T.ravel()` for an R x T abundance matrix.
+The ADMM state is R x T abundance matrices throughout, the layout of every
+other abundance iterate in the package: x, z and u are R x T arrays, the
+x-update works on the free leading rows of x and solves for all pixels as the
+columns of one right-hand side, and the residual norms are Frobenius norms.
 
 A solver instance is single-threaded in its outer loop and holds no shared
 mutable state, so distinct instances on distinct problems can run concurrently.
@@ -97,7 +99,8 @@ _SIGMA_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class AdmmState:
-    """One ADMM iterate: stacked primal x, split variable z, scaled dual u."""
+    """One ADMM iterate: primal x, split variable z, scaled dual u, float arrays
+    of one shape (R x T abundance matrices in the correntropy solvers)."""
 
     x: np.ndarray
     z: np.ndarray
@@ -106,12 +109,9 @@ class AdmmState:
 
     def __post_init__(self):
         for name in ("x", "z", "u"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise InvalidInput(f"{name} must be a 1-D stacked vector")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.x.shape == self.z.shape == self.u.shape):
-            raise InvalidInput("x, z, u must have equal lengths")
+            raise InvalidInput("x, z, u must have one shape")
 
 
 class TuneOutcome(Enum):
@@ -147,9 +147,9 @@ class TuningTrace:
 def stop_check(state_prev: AdmmState, state_next: AdmmState, config: SolverConfig) -> Termination:
     """Three-fold outer stopping rule.
 
-    Residual thresholds are sqrt(n) * eps_primal and sqrt(n) * eps_dual for n
-    stacked coordinates. Precedence: small residuals, then primal increase,
-    then the iteration cap.
+    Residual thresholds are sqrt(n) * eps_primal and sqrt(n) * eps_dual for the
+    n entries of x (R * T for an abundance matrix). Precedence: small
+    residuals, then primal increase, then the iteration cap.
     """
     primal_prev, primal = _norm(state_prev.x - state_prev.z), _norm(state_next.x - state_next.z)
     dual = config.rho * _norm(state_next.z - state_prev.z)
@@ -293,30 +293,22 @@ def inner_gradient_descent(
     return x
 
 
-def _vec(X: np.ndarray) -> np.ndarray:
-    return X.T.ravel()
-
-
-def _mat(v: np.ndarray, R: int, T: int) -> np.ndarray:
-    return v.reshape(T, R).T
-
-
 class _HalfQuadratic:
     """One run's x-subproblem and its half-quadratic x-update, for either
     parameterization of the abundances.
 
-    The free variables Xi (the first n rows, n x T; stacked pixel-major as xi)
-    give the full R x T matrix full(Xi), and the x-subproblem at (z, u) is
+    The free variables Xi (the first n rows, n x T) give the full R x T matrix
+    full(Xi), and the x-subproblem at (Z, U) is
 
         kernel(Xi) + rho/2 ||full(Xi) - (Z + U)||^2,
 
     kernel the correntropy term of the fit M full(Xi). With
     D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
     rho pull(D), pull = E' the adjoint of full's linear part E.
-    x_update(x_prev, z, u) takes up to max_inner_iters steps of
-    inner_gradient_descent (one by default) from the free rows of x_prev along
-    d = P^-1 g, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
-    and returns full of the result, stacked. rho is read once, when the run
+    x_update(X_prev, Z, U) takes up to max_inner_iters steps of
+    inner_gradient_descent (one by default) from the free rows of X_prev along
+    D = P^-1 G, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
+    and returns full of the result, read-only. rho is read once, when the run
     builds its x-update.
 
     kernel_objective(Xi, out) returns the kernel term at Xi with the
@@ -335,7 +327,7 @@ class _HalfQuadratic:
         self, handle: ProblemHandle, config: SolverConfig, sigma: float, n: int,
         kernel_objective, kernel_gradient, *, full, pull,
     ):
-        self.R, self.T, self.n = handle.R, handle.T, n
+        self.R, self.n = handle.R, n
         self.M, self.full, self.pull, self.sigma = handle.M, full, pull, sigma
         self.rho = config.rho
         self.max_inner_iters = config.max_inner_iters
@@ -344,44 +336,38 @@ class _HalfQuadratic:
         self.x = None  # the point of the last kernel pass
         self.term = None  # the kernel term at self.x
         self.cache = None  # the ResidualCache at self.x
-        self.out = None  # the last x-update's result: free rows self.xi, full matrix self.X
+        self.xi = self.X = None  # the last x-update's result: free rows, read-only full matrix
 
     @property
     def weights(self) -> np.ndarray:
         return self.cache.band_weights
 
-    def free(self, x_vec: np.ndarray) -> np.ndarray:
-        """The free rows of a stacked full vector, stacked pixel-major."""
-        return x_vec.reshape(self.T, self.R)[:, : self.n].ravel()
-
-    def _matrix(self, xi: np.ndarray) -> np.ndarray:
-        return xi.reshape(self.T, self.n).T
-
     def value(self, xi: np.ndarray) -> float:
         if xi is not self.x:
-            self.term, self.cache = self.kernel_objective(self._matrix(xi), self.work)
+            self.term, self.cache = self.kernel_objective(xi, self.work)
             self.x = xi
         return self.term
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         self.value(xi)
-        return self.kernel_gradient(self._matrix(xi), self.cache, self.work)
+        return self.kernel_gradient(xi, self.cache, self.work)
 
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.value(xi)
         H = (self.M.T * self.weights) @ self.M / self.sigma**2 + self.rho * np.eye(self.R)
         P = self.pull(self.pull(H).T).T
-        return np.linalg.solve(P, g.reshape(-1, self.n).T).T.ravel()
+        return np.linalg.solve(P, g)
 
     def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        V = _mat(z + u, self.R, self.T)
+        V = z + u
+        cached = x_prev is self.X
         # the last point, full there and D = full - V; the warm start's full is
         # rebuilt, as its last row need not be 1 - (column sums)
-        point = [self.xi, self.X, self.X - V] if x_prev is self.out else [None] * 3
+        point = [self.xi, self.X, self.X - V] if cached else [None] * 3
 
         def coupling(xi: np.ndarray) -> list:
             if xi is not point[0]:
-                X = self.full(self._matrix(xi))
+                X = self.full(xi)
                 point[:] = xi, X, X - V
             return point
 
@@ -390,14 +376,13 @@ class _HalfQuadratic:
             return self.value(xi) + 0.5 * self.rho * float(np.sum(D * D))
 
         def gradient(xi: np.ndarray) -> np.ndarray:
-            return _vec(self.gradient(xi) + self.rho * self.pull(coupling(xi)[2]))
+            return self.gradient(xi) + self.rho * self.pull(coupling(xi)[2])
 
-        xi = self.xi if x_prev is self.out else self.free(x_prev)
+        xi = self.xi if cached else x_prev[: self.n]
         self.xi = inner_gradient_descent(gradient, objective, xi, self.max_inner_iters, self.direction)
         self.X = coupling(self.xi)[1]
-        self.out = _vec(self.X)
-        self.out.flags.writeable = False  # on_iteration sees the cached point
-        return self.out
+        self.X.flags.writeable = False  # on_iteration sees the cached point
+        return self.X
 
 
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -412,11 +397,11 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _run_admm(config: SolverConfig, hq: _HalfQuadratic, g_prox, X0, on_iteration):
-    """The ADMM run both problems share: x and z start at the warm start X0, the
-    scaled dual at zero, x-updates are hq's, and the report traces the kernel
-    term at the free rows of every new x, which the x-update's last pass
-    computed. Returns the final state and the report."""
-    x0 = _vec(np.asarray(X0, dtype=float))
+    """The ADMM run both problems share: x and z start at a read-only copy of
+    the R x T warm start X0, the scaled dual at zero, x-updates are hq's, and
+    the report traces the kernel term at the free rows of every new x, which
+    the x-update's last pass computed. Returns the final state and the report."""
+    x0 = np.array(X0, dtype=float, order="C")
     x0.flags.writeable = False
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
@@ -431,18 +416,17 @@ def _run_admm(config: SolverConfig, hq: _HalfQuadratic, g_prox, X0, on_iteration
 
 
 def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
-    R, T = handle.R, handle.T
-    if R < 2:
+    if handle.R < 2:
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
     # the free rows are all but the last, X = E Xi + e_R, and pull is E'
     hq = _HalfQuadratic(
-        handle, config, sigma, R - 1,
+        handle, config, sigma, handle.R - 1,
         lambda Xr, out: objective_reduced_f1(handle, Xr, sigma, return_cache=True, out=out),
         lambda Xr, cache, out: gradient_reduced_f1(handle, Xr, sigma, cache=cache, out=out),
         full=reconstruct_full, pull=pull,
     )
     state, report = _run_admm(config, hq, project_nonnegative, X0, on_iteration)
-    X = _feasible_fc(_mat(state.z, R, T), _mat(state.x, R, T))
+    X = _feasible_fc(state.z, state.x)
     return AbundanceMatrix(X, tag="fully_constrained"), report
 
 
@@ -457,7 +441,7 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     state, report = _run_admm(
         config, hq, lambda v: _shrink_nonnegative(v, thresh), X0, on_iteration
     )
-    return AbundanceMatrix(_mat(state.z, handle.R, handle.T), tag="nonnegative"), report
+    return AbundanceMatrix(state.z, tag="nonnegative"), report
 
 
 # Each problem's runner, its default warm start, and its best feasible fit.
@@ -590,12 +574,13 @@ def cusal_fc(
     config.max_inner_iters steps, one by default), each one solve of the
     (R-1) x (R-1) matrix E'(M' W M / sigma^2 + rho I)E (E the linear part of
     reconstruct_full, W the band weights of the kernel pass at the full
-    iterate), reconstructs the full vector (unit column sums by construction),
+    iterate), reconstructs the full matrix (unit column sums by construction),
     projects for z, and updates the dual.
     Returns the feasible solution (nonnegative, exact unit column sums) and the
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
     the accepted attempt is returned, its report carrying the TuningTrace.
-    on_iteration(prev, next) runs after every outer iteration; x is read-only.
+    on_iteration(prev, next) runs after every outer iteration with two
+    AdmmStates of R x T matrices; x is read-only.
     """
     return _solve(handle, "fc", config, X0, on_iteration)
 

@@ -292,7 +292,7 @@ def test_criterion_8_admm_invariant_suite():
             failures.append(f"fc z negative at k={nxt.k}")
         if np.max(np.abs(nxt.u - prev.u + nxt.x - nxt.z)) > 1e-15:
             failures.append(f"fc u-identity broken at k={nxt.k}")
-        cols = nxt.x.reshape(h.T, h.R).T.sum(axis=0)
+        cols = nxt.x.sum(axis=0)
         if np.max(np.abs(cols - 1.0)) > 1e-12:
             failures.append(f"fc column sums off at k={nxt.k}")
 

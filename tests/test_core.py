@@ -134,8 +134,15 @@ class TestDomainTypes:
         for name, bad in (
             ("max_inner_iters", 2.5),
             ("max_outer_iters", 1.5),
+            ("max_outer_iters", True),
+            ("max_inner_iters", True),
             ("eps_primal", np.inf),
             ("eps_dual", np.inf),
+            *(
+                (name, bad)
+                for name in ("rho", "lam", "eps_primal", "eps_dual")
+                for bad in ("1", None, 1 + 0j, np.array([1.0]), np.array(1.0), 10**400)
+            ),
         ):
             with pytest.raises(InvalidInput, match=name):
                 SolverConfig(**{name: bad})
@@ -143,7 +150,7 @@ class TestDomainTypes:
             SolverConfig(sigma=0.05, sigma_auto=True)
         # 2 sigma^2 must be a finite normal float: it overflows, underflows to
         # 0 or is subnormal here
-        for sigma in (1e170, 1e-200, 1e-155, np.nan, "0.5"):
+        for sigma in (1e170, 1e-200, 1e-155, np.nan, "0.5", 10**400):
             with pytest.raises(InvalidInput, match="sigma"):
                 SolverConfig(sigma=sigma)
         SolverConfig(sigma=np.float32(1e-30))
@@ -255,3 +262,13 @@ class TestArrayLike:
         copied[0, 0] = 7.0
         assert m.data[0, 0] == 0.0
         np.testing.assert_array_equal(copied[1:], m.data[1:])
+
+    @pytest.mark.parametrize("wrap", DOMAIN_TYPES, ids=lambda t: t.__name__)
+    def test_array_protocol_without_copy_as_numpy_1_calls_it(self, wrap):
+        # numpy 1 passes no copy argument: the data itself, or a cast of it
+        m = wrap(np.arange(6.0).reshape(3, 2))
+        assert m.__array__() is m.data
+        assert m.__array__(float) is m.data
+        cast = m.__array__(np.float32)
+        assert cast.dtype == np.float32
+        np.testing.assert_array_equal(cast, m.data)

@@ -137,6 +137,40 @@ class TestStopCheck:
         nxt = AdmmState(x=np.array([2e-9]), z=np.array([0.0]), u=np.zeros(1), k=2)
         assert stop_check(prev, nxt, cfg) == Termination.RESIDUALS_SMALL
 
+    def test_threshold_counts_every_entry_of_a_matrix_state(self):
+        # a 100 x 100 state has the thresholds of 10000 coordinates
+        zeros = np.zeros((100, 100))
+        prev = AdmmState(x=zeros, z=zeros, u=zeros, k=0)
+        for residual, expected in ((1e-3, True), (1.0000001e-3, False)):
+            x = zeros.copy()
+            x[0, 0] = residual
+            nxt = AdmmState(x=x, z=zeros, u=zeros, k=1)
+            small = stop_check(prev, nxt, self.config()) == Termination.RESIDUALS_SMALL
+            assert small == expected
+
+
+class TestAdmmState:
+    def test_unequal_shapes_are_invalid_input(self):
+        X = np.zeros((3, 4))
+        for x, z, u in (
+            (X, X, np.zeros(12)),
+            (X, X.T, X),
+            (np.zeros(3), np.zeros(4), np.zeros(3)),
+        ):
+            with pytest.raises(InvalidInput, match="one shape"):
+                AdmmState(x=x, z=z, u=u)
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_on_iteration_sees_read_only_abundance_matrices(self, solve, rng):
+        h, M, X, Y = random_problem(rng, L=25, R=4, T=12, residual_scale=0.3)
+        config = SolverConfig(sigma=0.4, lam=1e-3, max_outer_iters=5)
+        states = []
+        _, report = solve(h, config, on_iteration=lambda prev, nxt: states.extend((prev, nxt)))
+        assert len(states) == 2 * report.iterations_run > 0
+        for state in states:
+            assert state.x.shape == state.z.shape == state.u.shape == (h.R, h.T)
+            assert not state.x.flags.writeable
+
 
 class TestInnerGradientDescent:
     def test_exact_step_converges_immediately(self):
@@ -274,7 +308,7 @@ class TestHalfQuadraticStep:
             for x in (x_init, x_init + 0.2 * rng.standard_normal(x_init.shape)):
                 g = grad(x)
                 d = direction(x, g)
-                slope = float(g @ d)
+                slope = float(np.sum(g * d))
                 assert slope > 0
                 assert obj(x - d) <= obj(x) - 0.5 * slope + 1e-12 * abs(obj(x))
                 calls = []
@@ -308,10 +342,7 @@ class TestHalfQuadraticStep:
         for grad, obj, x_init, direction in seen:
             hq = direction.__self__
             for x in (x_init, x_init + 0.2 * rng.standard_normal(x_init.shape)):
-                if solve is cusal_fc:
-                    X_full = reconstruct_full(x.reshape(h.T, h.R - 1).T)
-                else:
-                    X_full = x.reshape(h.T, h.R).T
+                X_full = reconstruct_full(x) if solve is cusal_fc else x
                 expected = band_weights(h, X_full, sigma)
                 passes.clear()
                 # the gradient at x makes one kernel pass, and the direction
@@ -550,7 +581,7 @@ class TestCusalFC:
             np.testing.assert_array_less(
                 np.abs(nxt.u - prev.u + nxt.x - nxt.z), 1e-15 + np.zeros_like(nxt.u)
             )
-            cols = nxt.x.reshape(h.T, h.R).T.sum(axis=0)
+            cols = nxt.x.sum(axis=0)
             np.testing.assert_allclose(cols, 1.0, atol=1e-12)
 
         cusal_fc(h, SolverConfig(sigma_auto=True), on_iteration=hook)
@@ -584,7 +615,7 @@ def test_objective_trace_is_objective_C_at_each_full_iterate(solve):
     iterates = []
     _, report = solve(h, config, on_iteration=lambda prev, nxt: iterates.append(nxt.x))
     assert len(iterates) == report.iterations_run > 5
-    expected = [objective_C(h, x.reshape(h.T, h.R).T, config.sigma) for x in iterates]
+    expected = [objective_C(h, x, config.sigma) for x in iterates]
     assert report.objective_trace == tuple(expected)
 
 
