@@ -4,18 +4,19 @@ and l1-regularized nonnegative least squares.
 The constrained problems are solved per pixel by ADMM with a closed-form
 quadratic update: K = 2 M'M + rho I is Cholesky-factored and inverted once,
 and every iteration applies the R x R inverse to all pixels in one product
-(the per-pixel solves are independent). The QR of M and the factor of K come
-from numpy.linalg, so the package needs no SciPy. The loop re-validates
-nothing per iteration: it writes into preallocated buffers, the proximal maps
-work in place, and the iterates are checked for non-finite entries only when
-a residual norm is not finite.
+(the per-pixel solves are independent). Both problems share one z-step,
+max(v - lam/rho, 0): soft thresholding followed by projection onto the first
+orthant, a plain projection at the fully-constrained problem's lam = 0. The
+QR of M and the factor of K come from numpy.linalg, so the package needs no
+SciPy. The loop re-validates nothing per iteration: it writes into
+preallocated buffers, the z-step works in place, and the iterates are checked
+for non-finite entries only when a residual norm is not finite.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -81,23 +82,22 @@ def _default_rho(M: np.ndarray) -> float:
     return float(2.0 * s.min() * s.max())
 
 
-def _admm(
-    handle: ProblemHandle,
-    prox: Callable[[np.ndarray, float], np.ndarray],
-    sum_to_one: bool,
-):
-    """Per-pixel ADMM for min ||y - M x||^2 + g(z) subject to x = z.
+def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
+    """Per-pixel ADMM for min ||y - M x||^2 + lam ||z||_1 subject to x = z >= 0.
 
-    prox(v, rho) overwrites v with the proximal map of g / rho at v; with
-    sum_to_one the quadratic update is corrected onto the hyperplane 1'x = 1
-    through one KKT correction of the unconstrained solve. Z starts at the
-    clipped least-squares abundances of the handle. Returns the last
+    The z-step overwrites v = x - u with max(v - lam/rho, 0), the proximal map
+    of lam/rho ||.||_1 plus the orthant's indicator, its threshold computed
+    once; at lam = 0 it is the projection onto the first orthant, bit for bit.
+    With sum_to_one the quadratic update is corrected onto the hyperplane
+    1'x = 1 through one KKT correction of the unconstrained solve. Z starts at
+    the clipped least-squares abundances of the handle. Returns the last
     (X, Z) iterates and whether the residuals fell below tolerance before the
     cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
     rho = _default_rho(M)
+    b = lam / rho
     # K = 2 M'M + rho I = C C' has a Cholesky factor C exactly when it is
     # positive definite. One product with K^-1 = inv(C)' inv(C) per iteration
     # is much cheaper than a Cholesky solve with T right-hand sides; with this
@@ -119,7 +119,7 @@ def _admm(
     Z = project_nonnegative(handle.least_squares)
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
-    # prox input V = X - U (the prox overwrites it with the next Z, and the
+    # z-step's input V = X - U (overwritten with the next Z, and the
     # previous Z's buffer takes its place), S = D[0] for Z + U and then for
     # X - V, S_dual = D[1] for V - Z (the differences whose norms are the
     # residuals), and D2 for their squares, both summed in one reduction.
@@ -135,7 +135,7 @@ def _admm(
             nu = (X.sum(axis=0) - 1.0) / qsum
             X -= np.outer(q, nu)
         np.subtract(X, U, out=V)
-        prox(V, rho)
+        _shrink_nonnegative(V, b)
         np.subtract(X, V, out=S)
         U -= S
         np.subtract(V, Z, out=S_dual)
@@ -162,7 +162,7 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     the iteration cap that residual can exceed the feasibility tolerance, so
     the iterate is projected column-wise onto the simplex instead.
     """
-    X, _, converged = _admm(handle, lambda v, rho: np.maximum(v, 0.0, out=v), sum_to_one=True)
+    X, _, converged = _admm(handle, 0.0, sum_to_one=True)
     if not converged:
         warnings.warn("fully-constrained solve hit its iteration cap", MaxItersWarning, stacklevel=2)
         X = _project_columns_to_simplex(X)
@@ -172,15 +172,13 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
 def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
     """Per-pixel minimizer of ||y - M x||^2 + lam * ||x||_1 subject to x >= 0.
 
-    Same ADMM loop as solve_fcls without the sum-to-one correction; the
-    proximal step is soft thresholding followed by projection. lam = 0 gives
-    nonnegative least squares.
+    Same ADMM loop as solve_fcls without the sum-to-one correction, its z-step
+    thresholded at lam/rho instead of 0. lam = 0 gives nonnegative least
+    squares.
     """
     if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
         raise InvalidInput("lam must be a nonnegative finite scalar")
-    _, Z, converged = _admm(
-        handle, lambda v, rho: _shrink_nonnegative(v, lam / rho), sum_to_one=False
-    )
+    _, Z, converged = _admm(handle, lam, sum_to_one=False)
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)
     return AbundanceMatrix(Z, tag="nonnegative")

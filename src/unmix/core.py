@@ -169,6 +169,15 @@ def _real(value) -> float:
         return math.nan
 
 
+def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """Raise InvalidInput naming `name` unless value is an int or a numpy
+    integer, not a bool, in [lo, hi] (at least lo when hi is None)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and lo <= value and (hi is None or value <= hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvalidInput(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def _check_sigma(sigma) -> float:
     """sigma as a float; 2 sigma^2 must be a finite normal float, so that the
     kernel's 2 sigma^2 and the gradient's 1 / sigma^2 are finite and nonzero."""
@@ -225,10 +234,7 @@ class SolverConfig:
         if not (0 <= _real(self.lam) < math.inf):
             raise InvalidInput("lam must be a nonnegative finite real")
         for name in ("max_outer_iters", "max_inner_iters"):
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (integer and value >= 1):
-                raise InvalidInput(f"{name} must be an integer >= 1")
+            _check_int(name, getattr(self, name), 1)
 
 
 class Termination(Enum):

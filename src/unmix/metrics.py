@@ -50,8 +50,10 @@ class MetricResult:
 
 
 def _pair(a, b):
-    A = np.asarray(a, dtype=float)
-    B = np.asarray(b, dtype=float)
+    """Both matrices as row-major float arrays: the sums over a whole matrix
+    run in memory order, so a column-major input would round differently."""
+    A = np.asarray(a, dtype=float, order="C")
+    B = np.asarray(b, dtype=float, order="C")
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
     if A.ndim != 2:

@@ -4,12 +4,14 @@ The generic scaffold alternates an inexact x-minimization, a proximal z-step,
 and the scaled dual update, with the splitting x = z. Both problems share one
 x-update (_HalfQuadratic.x_update): it minimizes the kernel term of the fit plus
 the coupling rho/2 ||full(Xi) - (Z + U)||^2 over the problem's free variables
-Xi. Each problem supplies only its parameterization, its prox and its final
+Xi. They share one z-step too, max(v - b, 0): soft thresholding by b followed
+by projection onto the first orthant. Each problem supplies only its
+parameterization, its kernel functions, its threshold b and its final
 abundances. The fully-constrained solver's free variables are the reduced ones
 (last abundance row eliminated by the sum-to-one constraint, full rebuilds it)
-and its z-step projects onto the first orthant; the sparsity-promoting solver's
-are the full abundances, and its z-step max(v - lam/rho, 0) is soft
-thresholding followed by projection onto the first orthant.
+and its threshold is 0, so its z-step is the projection; the
+sparsity-promoting solver's are the full abundances, and its threshold is
+lam/rho.
 
 The x-update takes half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
@@ -62,6 +64,7 @@ import numpy as np
 from . import baselines
 from .core import (
     AbundanceMatrix,
+    DimensionMismatch,
     InnerSolverFailure,
     InvalidInput,
     NonFiniteIterate,
@@ -74,7 +77,6 @@ from .core import (
     _norm,
     _project_columns_to_simplex,
     _shrink_nonnegative,
-    project_nonnegative,
 )
 from .correntropy import (
     gradient_full,
@@ -193,7 +195,8 @@ def admm_generic(
     """Run the scaled-form ADMM loop until the stopping rule fires.
 
     f_solver(x_prev, z_k, u_k) performs the (possibly inexact) x-minimization;
-    g_prox(v) evaluates the proximal map of g at v = x_{k+1} - u_k.
+    g_prox(v) evaluates the proximal map of g at v = x_{k+1} - u_k, a new
+    array that it may overwrite.
 
     The small-residual and iteration-cap rules apply exactly as in stop_check.
     A strict one-step primal increase counts as divergence only when the
@@ -311,26 +314,27 @@ class _HalfQuadratic:
     and returns full of the result, read-only. rho is read once, when the run
     builds its x-update.
 
-    kernel_objective(Xi, out) returns the kernel term at Xi with the
-    ResidualCache of its kernel pass, and kernel_gradient(Xi, cache, out) the
-    gradient from that cache; out is the run's (2, L, T) workspace, which every
-    pass builds its residual in. The last pass is kept with its point (self.x;
-    self.weights are its band weights) across the run's x-updates, so the
-    value, the gradient and the direction at that point, and the trace at the
-    x-update's result, read it; any other point gets a pass of its own. Points
-    are never modified in place, so a pass is known by its point's array. P
-    is shared by every pixel, so one solve with all pixels as right-hand sides
-    serves the whole cube.
+    kernel_objective and kernel_gradient are the correntropy functions of the
+    parameterization (objective_reduced_f1 and gradient_reduced_f1 for the
+    reduced variables, objective_C and gradient_full for the full ones),
+    called with the run's handle, sigma and (2, L, T) workspace out, which
+    every pass builds its residual in: the objective returns the kernel term
+    at Xi with the ResidualCache of its pass, and the gradient reads that
+    cache. The last pass is kept with its point (self.x; self.weights are its
+    band weights) across the run's x-updates, so the value, the gradient and
+    the direction at that point, and the trace at the x-update's result, read
+    it; any other point gets a pass of its own. Points are never modified in
+    place, so a pass is known by its point's array. P is shared by every
+    pixel, so one solve with all pixels as right-hand sides serves the whole
+    cube.
     """
 
     def __init__(
         self, handle: ProblemHandle, config: SolverConfig, sigma: float, n: int,
         kernel_objective, kernel_gradient, *, full, pull,
     ):
-        self.R, self.n = handle.R, n
-        self.M, self.full, self.pull, self.sigma = handle.M, full, pull, sigma
-        self.rho = config.rho
-        self.max_inner_iters = config.max_inner_iters
+        self.handle, self.sigma, self.n, self.full, self.pull = handle, sigma, n, full, pull
+        self.rho, self.max_inner_iters = config.rho, config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
         self.work = np.empty((2, handle.L, handle.T))
         self.x = None  # the point of the last kernel pass
@@ -344,17 +348,20 @@ class _HalfQuadratic:
 
     def value(self, xi: np.ndarray) -> float:
         if xi is not self.x:
-            self.term, self.cache = self.kernel_objective(xi, self.work)
+            self.term, self.cache = self.kernel_objective(
+                self.handle, xi, self.sigma, return_cache=True, out=self.work
+            )
             self.x = xi
         return self.term
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         self.value(xi)
-        return self.kernel_gradient(xi, self.cache, self.work)
+        return self.kernel_gradient(self.handle, xi, self.sigma, cache=self.cache, out=self.work)
 
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.value(xi)
-        H = (self.M.T * self.weights) @ self.M / self.sigma**2 + self.rho * np.eye(self.R)
+        M = self.handle.M
+        H = (M.T * self.weights) @ M / self.sigma**2 + self.rho * np.eye(self.handle.R)
         P = self.pull(self.pull(H).T).T
         return np.linalg.solve(P, g)
 
@@ -396,17 +403,19 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_admm(config: SolverConfig, hq: _HalfQuadratic, g_prox, X0, on_iteration):
+def _run_admm(config: SolverConfig, hq: _HalfQuadratic, b: float, X0, on_iteration):
     """The ADMM run both problems share: x and z start at a read-only copy of
-    the R x T warm start X0, the scaled dual at zero, x-updates are hq's, and
-    the report traces the kernel term at the free rows of every new x, which
-    the x-update's last pass computed. Returns the final state and the report."""
+    the R x T warm start X0, the scaled dual at zero, x-updates are hq's, the
+    z-step is max(v - b, 0) in place on v = x - u (b = 0 projects onto the
+    first orthant), and the report traces the kernel term at the free rows of
+    every new x, which the x-update's last pass computed. Returns the final
+    state and the report."""
     x0 = np.array(X0, dtype=float, order="C")
     x0.flags.writeable = False
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
         hq.x_update,
-        g_prox,
+        lambda v: _shrink_nonnegative(v, b),
         config,
         init,
         objective_fn=lambda x: hq.value(hq.xi),
@@ -420,27 +429,20 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
     # the free rows are all but the last, X = E Xi + e_R, and pull is E'
     hq = _HalfQuadratic(
-        handle, config, sigma, handle.R - 1,
-        lambda Xr, out: objective_reduced_f1(handle, Xr, sigma, return_cache=True, out=out),
-        lambda Xr, cache, out: gradient_reduced_f1(handle, Xr, sigma, cache=cache, out=out),
+        handle, config, sigma, handle.R - 1, objective_reduced_f1, gradient_reduced_f1,
         full=reconstruct_full, pull=pull,
     )
-    state, report = _run_admm(config, hq, project_nonnegative, X0, on_iteration)
+    state, report = _run_admm(config, hq, 0.0, X0, on_iteration)
     X = _feasible_fc(state.z, state.x)
     return AbundanceMatrix(X, tag="fully_constrained"), report
 
 
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     hq = _HalfQuadratic(
-        handle, config, sigma, handle.R,
-        lambda X, out: objective_C(handle, X, sigma, return_cache=True, out=out),
-        lambda X, cache, out: gradient_full(handle, X, sigma, cache=cache, out=out),
+        handle, config, sigma, handle.R, objective_C, gradient_full,
         full=lambda X: X, pull=lambda D: D,
     )
-    thresh = config.lam / config.rho
-    state, report = _run_admm(
-        config, hq, lambda v: _shrink_nonnegative(v, thresh), X0, on_iteration
-    )
+    state, report = _run_admm(config, hq, config.lam / config.rho, X0, on_iteration)
     return AbundanceMatrix(state.z, tag="nonnegative"), report
 
 
@@ -471,9 +473,11 @@ def reconstruction_ratio(handle: ProblemHandle, X) -> float:
     """Frobenius residual of X relative to the handle's least-squares residual.
 
     When the least-squares fit is exact the ratio is reported as 0 for an
-    (essentially) exact X and infinity otherwise.
+    (essentially) exact X and infinity otherwise. X must be R x T.
     """
     Xdata = np.asarray(X, dtype=float)
+    if Xdata.shape != (handle.R, handle.T):
+        raise DimensionMismatch(f"X must be {handle.R} x {handle.T}, got shape {Xdata.shape}")
     num = _norm(handle.Y - handle.M @ Xdata)
     if handle.ls_residual > 0:
         return num / handle.ls_residual

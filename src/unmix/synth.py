@@ -23,6 +23,7 @@ from .core import (
     GenerationFailed,
     InvalidInput,
     ObservationMatrix,
+    _check_int,
 )
 
 _MAX_REJECTIONS = 10_000
@@ -45,14 +46,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model not in ("lmm", "ppnmm"):
             raise InvalidInput(f"model must be 'lmm' or 'ppnmm', got {self.model!r}")
-        if min(self.R, self.L, self.T) < 1:
-            raise InvalidInput("R, L, T must be positive")
-        if not (0 <= self.n_corrupt <= self.L):
-            raise InvalidInput("n_corrupt must lie in [0, L]")
-        if self.seed < 0:
-            raise InvalidInput("seed must be nonnegative")
-        if self.sparsity_K is not None and not (1 <= self.sparsity_K <= self.R):
-            raise InvalidInput("sparsity_K must lie in [1, R]")
+        for name in ("R", "L", "T"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("n_corrupt", self.n_corrupt, 0, self.L)
+        _check_int("seed", self.seed, 0)
+        if self.sparsity_K is not None:
+            _check_int("sparsity_K", self.sparsity_K, 1, self.R)
         lo, hi = self.b_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InvalidInput("b_range must be a finite (lo, hi) interval")
@@ -83,8 +82,6 @@ def _sample_abundances(rng: np.random.Generator, R: int, T: int, K: Optional[int
     if K is None:
         X = rng.dirichlet(np.ones(R), size=T).T
     else:
-        if K > R:
-            raise InvalidInput(f"sparsity K={K} exceeds R={R}")
         X = np.zeros((R, T))
         for t in range(T):
             support = rng.choice(R, size=K, replace=False)
@@ -97,8 +94,14 @@ def gen_abundances(R: int, T: int, K: Optional[int] = None, seed: int = 0) -> Ab
     """Columns drawn from the flat Dirichlet over the simplex.
 
     With K set, each pixel gets K support indices drawn uniformly without
-    replacement and a flat Dirichlet on that support.
+    replacement and a flat Dirichlet on that support. R and T are integers
+    >= 1, K one in [1, R], and seed a nonnegative integer.
     """
+    _check_int("R", R, 1)
+    _check_int("T", T, 1)
+    if K is not None:
+        _check_int("K", K, 1, R)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return AbundanceMatrix(_sample_abundances(rng, R, T, K), tag="fully_constrained")
 
@@ -179,10 +182,9 @@ def gen_endmembers(R: int, L: int, seed: int = 0, min_angle_deg: float = 10.0) -
 
     Candidates are rejection-sampled; generation fails after 10^4 rejections.
     """
-    if R < 1:
-        raise InvalidInput(f"R must be positive, got {R}")
-    if seed < 0:
-        raise InvalidInput(f"endmember seed must be nonnegative, got {seed}")
+    _check_int("R", R, 1)
+    _check_int("L", L, 1)
+    _check_int("endmember seed", seed, 0)
     if not (math.isfinite(min_angle_deg) and min_angle_deg >= 0):
         raise InvalidInput(f"min_angle_deg must be a finite nonnegative angle, got {min_angle_deg}")
     if R > L:

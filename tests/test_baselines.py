@@ -10,6 +10,7 @@ from unmix import (
     baselines,
     gen_cube,
     gen_endmembers,
+    project_nonnegative,
     rmse,
     solve_fcls,
     solve_ls,
@@ -270,6 +271,11 @@ def test_sparse_prox_equals_the_soft_threshold_form_bitwise(b):
         got = baselines._shrink_nonnegative(v.copy(), b)
         assert got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        if b == 0.0:
+            # at a zero threshold it is the plain projection, written either way
+            for projected in (np.maximum(v, 0.0), project_nonnegative(v)):
+                assert got.tobytes() == projected.tobytes()
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(projected))
 
 
 def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite():

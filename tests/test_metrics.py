@@ -155,6 +155,21 @@ METRIC_CALLS = {
 }
 
 
+class TestMemoryLayout:
+    # the same values give the same bits whether either matrix is row- or
+    # column-major: a whole-matrix sum runs in memory order
+    @pytest.mark.parametrize("metric", [rmse, sre_db, sad], ids=["rmse", "sre_db", "sad"])
+    def test_column_major_inputs_give_the_same_bits(self, metric):
+        F = np.asfortranarray
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            A = rng.uniform(size=(4, 7))
+            B = A + 1e-3 * rng.standard_normal((4, 7))
+            expected = metric(A, B).hex()
+            for pair in ((F(A), B), (A, F(B)), (F(A), F(B))):
+                assert metric(*pair).hex() == expected
+
+
 class TestNonFiniteInput:
     # a NaN or infinite entry in either matrix is named, not turned into a value
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])

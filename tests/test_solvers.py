@@ -5,6 +5,7 @@ import pytest
 
 from unmix import (
     AdmmState,
+    DimensionMismatch,
     InvalidInput,
     SolverConfig,
     SolverReport,
@@ -867,3 +868,10 @@ class TestOneLeastSquaresFitPerHandle:
         assert reconstruction_ratio(h, Y) == 0.0
         assert reconstruction_ratio(h, Y + 1e-15) == 0.0
         assert reconstruction_ratio(h, Y + 0.1) == float("inf")
+
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 9), (24,)])
+    def test_reconstruction_ratio_of_a_wrong_shape_is_a_dimension_mismatch(self, shape):
+        # named before M @ X or the subtraction from Y can fail inside numpy
+        h = validate_problem(np.random.default_rng(3).uniform(size=(5, 8)), np.eye(5)[:, :3])
+        with pytest.raises(DimensionMismatch, match="3 x 8"):
+            reconstruction_ratio(h, np.zeros(shape))

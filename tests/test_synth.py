@@ -39,6 +39,26 @@ class TestGenAbundances:
         with pytest.raises(InvalidInput):
             gen_abundances(3, 5, K=4, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(K=0), "K"),
+            (dict(K=-1), "K"),
+            (dict(K=1.0), "K"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=1.0), "seed"),
+            (dict(T=4.5), "T"),
+            (dict(R=True), "R"),
+            (dict(R=np.float64(3.0)), "R"),
+        ],
+        ids=["K0", "K-1", "float_K", "seed-1", "float_seed", "float_T", "bool_R", "numpy_float_R"],
+    )
+    def test_rejects_bad_sizes_naming_the_field(self, kwargs, field):
+        # K = 0 would draw empty supports and divide 0 by 0 in the column sums
+        with pytest.raises(InvalidInput, match=field):
+            gen_abundances(**{"R": 3, "T": 4, **kwargs})
+        gen_abundances(np.int64(3), np.int32(4), K=np.int8(2), seed=np.uint64(5))
+
     def test_deterministic(self):
         np.testing.assert_array_equal(
             gen_abundances(4, 30, K=2, seed=9).data, gen_abundances(4, 30, K=2, seed=9).data
@@ -110,6 +130,14 @@ class TestGenCube:
             SyntheticSpec(model="gbm", R=3, L=10, T=5, snr_db=20.0)
         with pytest.raises(InvalidInput):
             SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=20.0, n_corrupt=11)
+        # counts and seeds are integers, not floats or bools, so that gen_cube
+        # never reaches numpy with them
+        for name, bad in (
+            ("R", 3.0), ("L", 10.0), ("T", 5.5), ("T", True), ("n_corrupt", 1.0),
+            ("sparsity_K", 2.0), ("sparsity_K", 0), ("seed", 1.0), ("seed", False),
+        ):
+            with pytest.raises(InvalidInput, match=name):
+                SyntheticSpec(**{"model": "lmm", "R": 3, "L": 10, "T": 5, "snr_db": 20.0, name: bad})
         with pytest.raises(InvalidInput):
             GroundTruth(
                 X_true=gen_abundances(2, 3), corrupted_bands=(3, 1), b=None, noise_sigma=0.1, seed=0
@@ -164,10 +192,15 @@ class TestGenEndmembers:
             (dict(R=0), "R"),
             (dict(R=3, min_angle_deg=math.nan), "min_angle_deg"),
             (dict(R=3, min_angle_deg=-5.0), "min_angle_deg"),
+            (dict(R=2.5), "R"),
+            (dict(R=True), "R"),
+            (dict(R=3, L=20.0), "L"),
+            (dict(R=3, seed=0.5), "seed"),
         ],
-        ids=["seed", "R", "nan_angle", "negative_angle"],
+        ids=["seed", "R", "nan_angle", "negative_angle", "float_R", "bool_R", "float_L", "float_seed"],
     )
     def test_rejects_bad_arguments_naming_the_field(self, kwargs, field):
-        # a nan angle compares false, so it would silently accept every candidate
+        # a nan angle compares false, so it would silently accept every
+        # candidate; a float or bool R would fix the count by the loop's test
         with pytest.raises(InvalidInput, match=field):
-            gen_endmembers(L=20, **kwargs)
+            gen_endmembers(**{"L": 20, **kwargs})
