@@ -11,6 +11,14 @@ QR of M and the factor of K come from numpy.linalg, so the package needs no
 SciPy. The loop re-validates nothing per iteration: it writes into
 preallocated buffers, the z-step works in place, and the iterates are checked
 for non-finite entries only when a residual norm is not finite.
+
+The loop is over-relaxed with alpha = 1.5 (Eckstein & Bertsekas, Math. Prog.
+1992; Boyd et al., "Distributed Optimization and Statistical Learning via the
+Alternating Direction Method of Multipliers", 2011, section 3.4.3): the z-step
+and the dual update read alpha x + (1 - alpha) z in place of x. That takes
+about a third fewer iterations and leaves the fixed point, and so the
+solution, where it was. A solve whose residual norms overflow while its
+iterates stay finite goes on with alpha = 1.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .core import (
     SingularNormalEquations,
     _dot,
     _project_columns_to_simplex,
+    _real,
     _shrink_nonnegative,
     project_nonnegative,
 )
@@ -37,6 +46,10 @@ from .core import (
 # loops; tight enough that the outputs serve as 1e-6-level oracles.
 _BASELINE_TOL = 1e-12
 _BASELINE_MAX_ITERS = 30000
+# Over-relaxation factor alpha of the baseline ADMM loops (see _admm). 1.5
+# cut the iteration counts by about a third on R = 3 to 20 cubes; 1.8 took
+# more than 1.5 on some.
+_RELAXATION = 1.5
 
 
 def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
@@ -83,14 +96,23 @@ def _default_rho(M: np.ndarray) -> float:
 
 
 def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
-    """Per-pixel ADMM for min ||y - M x||^2 + lam ||z||_1 subject to x = z >= 0.
+    """Per-pixel over-relaxed ADMM for min ||y - M x||^2 + lam ||z||_1
+    subject to x = z >= 0.
 
-    The z-step overwrites v = x - u with max(v - lam/rho, 0), the proximal map
-    of lam/rho ||.||_1 plus the orthant's indicator, its threshold computed
-    once; at lam = 0 it is the projection onto the first orthant, bit for bit.
-    With sum_to_one the quadratic update is corrected onto the hyperplane
-    1'x = 1 through one KKT correction of the unconstrained solve. Z starts at
-    the clipped least-squares abundances of the handle. Returns the last
+    With sum_to_one the quadratic x-update is corrected onto the hyperplane
+    1'x = 1 through one KKT correction of the unconstrained solve. The z-step
+    overwrites a copy of the relaxed point v = alpha x + (1 - alpha) z - u
+    (alpha = _RELAXATION; Boyd et al. 2011, section 3.4.3) with
+    max(v - lam/rho, 0), the proximal map of lam/rho ||.||_1 plus the
+    orthant's indicator, its threshold computed once; at lam = 0 it is the
+    projection onto the first orthant, bit for bit. The dual update is
+    u = z+ - v. At a fixed point x = z, so v = z - u as without relaxation:
+    the solution does not move. The loop stops when the primal residual
+    x - z+ and the dual residual rho (z+ - z) both have norms of at most
+    sqrt(R*T) * _BASELINE_TOL. When a norm overflows while the iterates are
+    finite, the relaxed x - z+ stays as large as the iterates and would never
+    meet that tolerance, so the rest of the solve runs at alpha = 1. Z starts
+    at the clipped least-squares abundances of the handle. Returns the last
     (X, Z) iterates and whether the residuals fell below tolerance before the
     cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
@@ -119,13 +141,14 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     Z = project_nonnegative(handle.least_squares)
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
-    # z-step's input V = X - U (overwritten with the next Z, and the
-    # previous Z's buffer takes its place), S = D[0] for Z + U and then for
-    # X - V, S_dual = D[1] for V - Z (the differences whose norms are the
+    # next Z (the previous Z's buffer takes its place), S = D[0] for Z + U,
+    # then the relaxed point V and then X - Z+, S_dual = D[1] for
+    # (1 - alpha) Z and then Z+ - Z (the differences whose norms are the
     # residuals), and D2 for their squares, both summed in one reduction.
-    X, V = np.empty((R, T)), np.empty((R, T))
+    X, Z_next = np.empty((R, T)), np.empty((R, T))
     D, D2 = np.empty((2, R, T)), np.empty((2, R, T))
     S, S_dual = D
+    alpha = _RELAXATION
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
     for _ in range(_BASELINE_MAX_ITERS):
         np.add(Z, U, out=S)
@@ -134,19 +157,26 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
         if sum_to_one:
             nu = (X.sum(axis=0) - 1.0) / qsum
             X -= np.outer(q, nu)
-        np.subtract(X, U, out=V)
-        _shrink_nonnegative(V, b)
-        np.subtract(X, V, out=S)
-        U -= S
-        np.subtract(V, Z, out=S_dual)
+        # V = alpha X + (1 - alpha) Z - U, the z-step's input and, with the
+        # next Z, the dual update's
+        np.multiply(X, alpha, out=S)
+        S += np.multiply(Z, 1.0 - alpha, out=S_dual)
+        S -= U
+        np.copyto(Z_next, S)
+        _shrink_nonnegative(Z_next, b)
+        np.subtract(Z_next, S, out=U)
+        np.subtract(X, Z_next, out=S)
+        np.subtract(Z_next, Z, out=S_dual)
         squares = _dot(D, D, out=D2, axis=(1, 2))
         primal, dual = math.sqrt(squares[0]), rho * math.sqrt(squares[1])
-        Z, V = V, Z
+        Z, Z_next = Z_next, Z
         if not (math.isfinite(primal) and math.isfinite(dual)):
             # a non-finite entry of X or Z makes a residual non-finite, but
-            # so does the norm of a finite iterate far from the origin
+            # so does the norm of a finite iterate far from the origin, where
+            # only the unrelaxed loop meets the absolute tolerance
             if not (np.isfinite(X).all() and np.isfinite(Z).all()):
                 raise NonFiniteIterate("baseline ADMM produced a non-finite iterate")
+            alpha = 1.0
         elif primal <= eps_stop and dual <= eps_stop:
             return X, Z, True
     return X, Z, False
@@ -174,11 +204,14 @@ def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
 
     Same ADMM loop as solve_fcls without the sum-to-one correction, its z-step
     thresholded at lam/rho instead of 0. lam = 0 gives nonnegative least
-    squares.
+    squares. lam must be a nonnegative finite real, the rule SolverConfig
+    applies to its lam; anything else (a string, a complex number, an int too
+    large for a float) is InvalidInput.
     """
-    if not (np.isscalar(lam) and np.isfinite(lam) and lam >= 0):
-        raise InvalidInput("lam must be a nonnegative finite scalar")
-    _, Z, converged = _admm(handle, lam, sum_to_one=False)
+    lam_value = _real(lam)
+    if not (0 <= lam_value < math.inf):
+        raise InvalidInput("lam must be a nonnegative finite real")
+    _, Z, converged = _admm(handle, lam_value, sum_to_one=False)
     if not converged:
         warnings.warn("sparse solve hit its iteration cap", MaxItersWarning, stacklevel=2)
     return AbundanceMatrix(Z, tag="nonnegative")

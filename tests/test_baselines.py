@@ -3,9 +3,11 @@ import pytest
 
 from unmix import (
     AbundanceMatrix,
+    InvalidInput,
     MaxItersWarning,
     NonFiniteIterate,
     SingularNormalEquations,
+    SolverConfig,
     SyntheticSpec,
     baselines,
     gen_cube,
@@ -278,16 +280,72 @@ def test_sparse_prox_equals_the_soft_threshold_form_bitwise(b):
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(projected))
 
 
-def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite():
+@pytest.mark.parametrize(
+    "lam", [10**400, "1e-3", 1 + 0j, None, np.array(1e-3), -1e-3, np.nan, np.inf],
+    ids=["int-beyond-float", "str", "complex", "None", "array", "negative", "nan", "inf"],
+)
+def test_sparse_lambda_follows_the_solver_config_rule(lam):
+    # numpy raised TypeError from np.isfinite on the first three
+    h = validate_problem(np.ones((4, 2)), np.eye(4)[:, :2])
+    with pytest.raises(InvalidInput, match="lam"):
+        SolverConfig(lam=lam)
+    with pytest.raises(InvalidInput, match="lam"):
+        solve_sunsal_sparse(h, lam)
+
+
+@pytest.mark.parametrize("lam", [0, 1, np.float32(1e-3), np.int64(2)])
+def test_sparse_lambda_accepts_any_real_the_solver_config_accepts(lam):
+    SolverConfig(lam=lam)
+    h = validate_problem(np.ones((4, 2)), np.eye(4)[:, :2])
+    np.testing.assert_array_equal(solve_sunsal_sparse(h, lam).data, solve_sunsal_sparse(h, float(lam)).data)
+
+
+def _count_iterations(monkeypatch):
+    """Count baseline ADMM iterations through the z-step, run once in each."""
+    calls = [0]
+    real = baselines._shrink_nonnegative
+
+    def spy(v, b):
+        calls[0] += 1
+        return real(v, b)
+
+    monkeypatch.setattr(baselines, "_shrink_nonnegative", spy)
+    return calls
+
+
+def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
+    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations; the margin
+    # leaves room for another BLAS's rounding, not for the unrelaxed loop
+    M = gen_endmembers(3, 120, seed=0).data
+    spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=0, seed=1)
+    h = validate_problem(gen_cube(M, spec)[0], M)
+    calls = _count_iterations(monkeypatch)
+    counts = {}
+    for name, solve in [
+        ("fcls", solve_fcls),
+        ("sparse 0", lambda h: solve_sunsal_sparse(h, 0.0)),
+        ("sparse 1e-3", lambda h: solve_sunsal_sparse(h, 1e-3)),
+    ]:
+        calls[0] = 0
+        solve(h)
+        counts[name] = calls[0]
+    assert counts == pytest.approx({"fcls": 63, "sparse 0": 24, "sparse 1e-3": 60}, abs=2)
+
+
+def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite(monkeypatch):
     # the residual norms overflow to inf while every iterate stays finite
     rng = np.random.default_rng(0)
     M = np.abs(rng.standard_normal((20, 3)))
     X = rng.dirichlet(np.ones(3), size=5).T
     h = validate_problem(M @ X * 1e306, M)
+    calls = _count_iterations(monkeypatch)
     with np.errstate(over="ignore"):
         out = solve_sunsal_sparse(h, 1e-3).data
     assert np.isfinite(out).all()
     assert out.min() >= 0.0
+    # relaxed throughout, X - Z would stay near 1e290 and the solve would run
+    # to the cap; the unrelaxed fallback stops it within a few dozen
+    assert calls[0] <= 30
 
 
 def test_fcls_non_finite_iterate_raises(monkeypatch, rng):

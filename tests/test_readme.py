@@ -27,6 +27,7 @@ def test_defaults_table_states_the_library_constants():
             f"sqrt(R*T) * {_g(baselines._BASELINE_TOL)} / "
             f"{baselines._BASELINE_MAX_ITERS:,} iterations"
         ),
+        "baseline over-relaxation": f"{_g(baselines._RELAXATION)} (1 once a residual norm overflows)",
         "inner iterations (half-quadratic steps per x-update)": str(config.max_inner_iters),
         "outer iterations": str(config.max_outer_iters),
         "residual thresholds": f"sqrt(R*T) * {_g(config.eps_primal)}, primal and dual",
