@@ -10,7 +10,16 @@ orthant, a plain projection at the fully-constrained problem's lam = 0. The
 QR of M and the factor of K come from numpy.linalg, so the package needs no
 SciPy. The loop re-validates nothing per iteration: it writes into
 preallocated buffers, the z-step works in place, and the iterates are checked
-for non-finite entries only when a residual norm is not finite.
+for non-finite entries only when a residual norm is not finite. The fully
+constrained problem's sum-to-one constraint enters through the same x-update:
+its KKT correction is affine, so it is folded into the update's two terms at
+set-up, and both problems run one loop body.
+
+The loop stops on the primal residual x - z and the dual residual z_next - z,
+both in abundance units, against one tolerance. Neither depends on the units
+of Y and M: rescaling both by a power of two (and lam by its square) gives
+the same iterations and bit-identical abundances, and data in percent
+reflectance or sensor counts converge as reflectances do.
 
 The loop is over-relaxed with alpha = 1.5 (Eckstein & Bertsekas, Math. Prog.
 1992; Boyd et al., "Distributed Optimization and Statistical Learning via the
@@ -42,8 +51,10 @@ from .core import (
     project_nonnegative,
 )
 
-# Residual tolerance (per coordinate) and iteration cap of the baseline ADMM
-# loops; tight enough that the outputs serve as 1e-6-level oracles.
+# Residual tolerance (per coordinate, in abundance units, for both the primal
+# residual x - z and the dual residual z_next - z) and iteration cap of the
+# baseline ADMM loops; tight enough that the outputs serve as 1e-6-level
+# oracles.
 _BASELINE_TOL = 1e-12
 _BASELINE_MAX_ITERS = 30000
 # Over-relaxation factor alpha of the baseline ADMM loops (see _admm). 1.5
@@ -99,22 +110,29 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     """Per-pixel over-relaxed ADMM for min ||y - M x||^2 + lam ||z||_1
     subject to x = z >= 0.
 
-    With sum_to_one the quadratic x-update is corrected onto the hyperplane
-    1'x = 1 through one KKT correction of the unconstrained solve. The z-step
-    overwrites a copy of the relaxed point v = alpha x + (1 - alpha) z - u
+    The x-update is x = rho K^-1 (z + u) + K^-1 2 M'y. With sum_to_one it is
+    corrected onto the hyperplane 1'x = 1 by the KKT correction of that
+    solve, P x + q / 1'q with q = K^-1 1 and P = I - q 1' / 1'q; being affine,
+    the correction is folded into rho K^-1 and K^-1 2 M'y once, at set-up,
+    and the loop body is the same for both problems. The z-step overwrites
+    a copy of the relaxed point v = alpha x + (1 - alpha) z - u
     (alpha = _RELAXATION; Boyd et al. 2011, section 3.4.3) with
     max(v - lam/rho, 0), the proximal map of lam/rho ||.||_1 plus the
     orthant's indicator, its threshold computed once; at lam = 0 it is the
     projection onto the first orthant, bit for bit. The dual update is
     u = z+ - v. At a fixed point x = z, so v = z - u as without relaxation:
     the solution does not move. The loop stops when the primal residual
-    x - z+ and the dual residual rho (z+ - z) both have norms of at most
-    sqrt(R*T) * _BASELINE_TOL. When a norm overflows while the iterates are
-    finite, the relaxed x - z+ stays as large as the iterates and would never
-    meet that tolerance, so the rest of the solve runs at alpha = 1. Z starts
-    at the clipped least-squares abundances of the handle. Returns the last
-    (X, Z) iterates and whether the residuals fell below tolerance before the
-    cap. Raises NonFiniteIterate when an iterate has a non-finite entry.
+    x - z+ and the dual residual z+ - z both have norms of at most
+    sqrt(R*T) * _BASELINE_TOL. Both are in abundance units (Boyd et al.
+    2011, section 3.3.1, state each tolerance in its residual's units), so
+    the rule does not depend on the units of Y and M; the dual residual of
+    that text, rho (z+ - z), grows with the square of the data units through
+    rho. When a norm overflows while the iterates are finite, the relaxed
+    x - z+ stays as large as the iterates and would never meet that
+    tolerance, so the rest of the solve runs at alpha = 1. Z starts at the
+    clipped least-squares abundances of the handle. Returns the last (X, Z)
+    iterates and whether the residuals fell below tolerance before the cap.
+    Raises NonFiniteIterate when an iterate has a non-finite entry.
     """
     M, Y = handle.M, handle.Y
     R, T = handle.R, handle.T
@@ -133,10 +151,15 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     Kinv_MtY2 = Kinv @ (2.0 * (M.T @ Y))
     rho_Kinv = rho * Kinv
     if sum_to_one:
+        # x <- P x + q / 1'q, the KKT correction, folded into both terms
         q = Kinv.sum(axis=1)
         qsum = float(q.sum())
         if abs(qsum) < 1e-300:
             raise SingularNormalEquations("sum-to-one correction is degenerate")
+        q_unit = q / qsum
+        P = np.eye(R) - np.outer(q_unit, np.ones(R))
+        rho_Kinv = P @ rho_Kinv
+        Kinv_MtY2 = P @ Kinv_MtY2 + q_unit[:, None]
 
     Z = project_nonnegative(handle.least_squares)
     U = np.zeros((R, T))
@@ -154,9 +177,6 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
         np.add(Z, U, out=S)
         np.matmul(rho_Kinv, S, out=X)
         X += Kinv_MtY2
-        if sum_to_one:
-            nu = (X.sum(axis=0) - 1.0) / qsum
-            X -= np.outer(q, nu)
         # V = alpha X + (1 - alpha) Z - U, the z-step's input and, with the
         # next Z, the dual update's
         np.multiply(X, alpha, out=S)
@@ -168,7 +188,7 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
         np.subtract(X, Z_next, out=S)
         np.subtract(Z_next, Z, out=S_dual)
         squares = _dot(D, D, out=D2, axis=(1, 2))
-        primal, dual = math.sqrt(squares[0]), rho * math.sqrt(squares[1])
+        primal, dual = math.sqrt(squares[0]), math.sqrt(squares[1])
         Z, Z_next = Z_next, Z
         if not (math.isfinite(primal) and math.isfinite(dual)):
             # a non-finite entry of X or Z makes a residual non-finite, but
@@ -185,12 +205,13 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
 def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     """Per-pixel least squares over the probability simplex.
 
-    ADMM splitting: the quadratic-plus-sum-to-one update has a closed form via
-    one KKT correction of the unconstrained solve; nonnegativity enters through
-    projection. Returns the equality-exact iterate (column sums are 1 to
-    rounding; entries can undershoot 0 only by the final primal residual). At
-    the iteration cap that residual can exceed the feasibility tolerance, so
-    the iterate is projected column-wise onto the simplex instead.
+    ADMM splitting: the quadratic-plus-sum-to-one update has a closed form,
+    the unconstrained solve followed by one KKT correction, both folded into
+    one affine map at set-up; nonnegativity enters through projection.
+    Returns the equality-exact iterate (column sums are 1 to rounding;
+    entries can undershoot 0 only by the final primal residual). At the
+    iteration cap that residual can exceed the feasibility tolerance, so the
+    iterate is projected column-wise onto the simplex instead.
     """
     X, _, converged = _admm(handle, 0.0, sum_to_one=True)
     if not converged:
@@ -202,11 +223,11 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
 def solve_sunsal_sparse(handle: ProblemHandle, lam: float) -> AbundanceMatrix:
     """Per-pixel minimizer of ||y - M x||^2 + lam * ||x||_1 subject to x >= 0.
 
-    Same ADMM loop as solve_fcls without the sum-to-one correction, its z-step
-    thresholded at lam/rho instead of 0. lam = 0 gives nonnegative least
-    squares. lam must be a nonnegative finite real, the rule SolverConfig
-    applies to its lam; anything else (a string, a complex number, an int too
-    large for a float) is InvalidInput.
+    Same ADMM loop as solve_fcls, its x-update without the folded sum-to-one
+    correction and its z-step thresholded at lam/rho instead of 0. lam = 0
+    gives nonnegative least squares. lam must be a nonnegative finite real,
+    the rule SolverConfig applies to its lam; anything else (a bool, a
+    string, a complex number, an int too large for a float) is InvalidInput.
     """
     lam_value = _real(lam)
     if not (0 <= lam_value < math.inf):

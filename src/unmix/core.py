@@ -162,9 +162,12 @@ class AbundanceMatrix(_Matrix):
 
 
 def _real(value) -> float:
-    """value as a float when it is a real number that a float can hold, else nan."""
+    """value as a float when it is a real number that a float can hold, else
+    nan; a bool is not one, as for _check_int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
     try:
-        return float(value) if isinstance(value, numbers.Real) else math.nan
+        return float(value)
     except OverflowError:
         return math.nan
 
@@ -193,6 +196,7 @@ class SolverConfig:
 
     sigma           Gaussian kernel bandwidth, > 0 with 2 sigma^2 a finite normal
                     float; required unless sigma_auto, and rejected with it.
+                    It and the reals below may not be bools.
     rho             ADMM penalty, a positive finite real.
     lam             l1 weight for the sparsity-promoting problem, a nonnegative
                     finite real.

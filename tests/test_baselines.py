@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from unmix import (
-    AbundanceMatrix,
     InvalidInput,
     MaxItersWarning,
     NonFiniteIterate,
@@ -313,12 +314,19 @@ def _count_iterations(monkeypatch):
     return calls
 
 
-def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
-    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations; the margin
-    # leaves room for another BLAS's rounding, not for the unrelaxed loop
+def _grid_cube(n_corrupt=0, seed=1, scale=1.0):
+    """A cube of the benchmark's experiment grid (R=3, L=120, T=200, SNR 30,
+    endmember seed 0), Y and M both multiplied by scale."""
     M = gen_endmembers(3, 120, seed=0).data
-    spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=0, seed=1)
-    h = validate_problem(gen_cube(M, spec)[0], M)
+    spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=n_corrupt, seed=seed)
+    return validate_problem(gen_cube(M, spec)[0].data * scale, M * scale)
+
+
+def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
+    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations, and relaxed
+    # with the dual residual measured as rho (z+ - z) 63 / 24 / 60; the margin
+    # leaves room for another BLAS's rounding, not for either of those loops
+    h = _grid_cube()
     calls = _count_iterations(monkeypatch)
     counts = {}
     for name, solve in [
@@ -329,7 +337,51 @@ def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
         calls[0] = 0
         solve(h)
         counts[name] = calls[0]
-    assert counts == pytest.approx({"fcls": 63, "sparse 0": 24, "sparse 1e-3": 60}, abs=2)
+    assert counts == pytest.approx({"fcls": 54, "sparse 0": 20, "sparse 1e-3": 48}, abs=2)
+
+
+@pytest.mark.parametrize("k", [-10, 7, 14])
+def test_baselines_do_not_depend_on_the_data_units(monkeypatch, k):
+    # (2^k Y, 2^k M) with lam * 4^k is the same problem in other units: rho
+    # scales by 4^k, and every quantity the loop compares is in abundance
+    # units, so each floating-point operation is scaled by a power of two
+    calls = _count_iterations(monkeypatch)
+    results = []
+    for scale, lam in [(1.0, 1e-3), (2.0**k, 1e-3 * 4.0**k)]:
+        h = _grid_cube(scale=scale)
+        calls[0] = 0
+        X_fc = solve_fcls(h).data
+        fcls_iters = calls[0]
+        X_sp = solve_sunsal_sparse(h, lam).data
+        results.append((X_fc.tobytes(), X_sp.tobytes(), fcls_iters, calls[0] - fcls_iters))
+    assert results[1] == results[0]
+
+
+def test_percent_reflectance_cube_solves_within_the_cap():
+    # Y and M in percent: with the dual residual scaled by rho, which grows
+    # with the square of the data units, both solves ran to the 30,000 cap
+    h, h_percent = _grid_cube(), _grid_cube(scale=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MaxItersWarning)
+        X_fc = solve_fcls(h_percent).data
+        X_sp = solve_sunsal_sparse(h_percent, 1e-3 * 100.0**2).data
+    np.testing.assert_allclose(X_fc, solve_fcls(h).data, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(X_sp, solve_sunsal_sparse(h, 1e-3).data, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_corrupt, seed", [(0, 1), (0, 2), (20, 1), (20, 2)])
+def test_converged_fcls_iterate_sums_to_one(n_corrupt, seed):
+    # the sum-to-one correction is folded into the x-step's matrices, so the
+    # iterate's column sums are 1 to the rounding of one R x R product
+    X = solve_fcls(_grid_cube(n_corrupt, seed)).data
+    assert np.abs(X.sum(axis=0) - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [True, False])
+def test_sparse_lambda_rejects_a_bool(lam):
+    h = validate_problem(np.ones((4, 2)), np.eye(4)[:, :2])
+    with pytest.raises(InvalidInput, match="lam"):
+        solve_sunsal_sparse(h, lam)
 
 
 def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite(monkeypatch):
@@ -348,19 +400,8 @@ def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite(monkeypatch):
     assert calls[0] <= 30
 
 
-def test_fcls_non_finite_iterate_raises(monkeypatch, rng):
-    # a warm start at 1e308 overflows the sum-to-one correction to inf
-    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
-    monkeypatch.setattr(
-        baselines, "solve_ls", lambda handle: AbundanceMatrix(np.full((handle.R, handle.T), 1e308))
-    )
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
-        solve_fcls(h)
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_sparse_non_finite_iterate_raises(monkeypatch, rng, bad):
-    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
+def _inject_at_the_z_step(monkeypatch, bad):
+    """Make every z-step write `bad` into one entry of its output."""
     real = baselines._shrink_nonnegative
 
     def prox(v, b):
@@ -369,5 +410,19 @@ def test_sparse_non_finite_iterate_raises(monkeypatch, rng, bad):
         return v
 
     monkeypatch.setattr(baselines, "_shrink_nonnegative", prox)
+
+
+def test_fcls_non_finite_iterate_raises(monkeypatch, rng):
+    # the sparse solve's test below injects inf, -inf and nan the same way
+    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
+    _inject_at_the_z_step(monkeypatch, np.nan)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
+        solve_fcls(h)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sparse_non_finite_iterate_raises(monkeypatch, rng, bad):
+    h, M, X, Y = random_problem(rng, L=20, R=3, T=5)
+    _inject_at_the_z_step(monkeypatch, bad)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
         solve_sunsal_sparse(h, 1e-3)

@@ -156,6 +156,13 @@ class TestDomainTypes:
         SolverConfig(sigma=np.float32(1e-30))
         SolverConfig(max_outer_iters=np.int64(5), max_inner_iters=np.int32(3))
 
+    @pytest.mark.parametrize("name", ["sigma", "rho", "lam", "eps_primal", "eps_dual"])
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_solver_config_rejects_a_bool_for_a_real(self, name, bad):
+        # as _check_int does for the iteration caps: lam=True was lam = 1.0
+        with pytest.raises(InvalidInput, match=name):
+            SolverConfig(**{name: bad})
+
     def test_report_length_and_consistency_checks(self):
         with pytest.raises(InvalidInput):
             SolverReport(2, (0.1,), (0.1, 0.2), (0.0, 0.0), Termination.MAX_ITERS)
