@@ -329,10 +329,8 @@ def soft_threshold(v, b: float) -> np.ndarray:
 
     Entries with magnitude <= b (boundary included) map to zero.
     """
-    if not (np.isscalar(b) and np.isfinite(b)):
-        raise InvalidInput("threshold b must be a finite scalar")
-    if b < 0:
-        raise InvalidInput("threshold b must be nonnegative")
+    if not (0 <= _real(b) < math.inf):
+        raise InvalidInput(f"threshold b must be a finite nonnegative real, got {b!r}")
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("soft_threshold requires finite input")

@@ -12,12 +12,13 @@ layer computes in float64, so its results are the same on every platform. All
 reductions go through numpy's fixed-tree pairwise summation: for a given array
 shape, repeated evaluations are bit-identical.
 
-An objective can hand back its pass as a ResidualCache (return_cache=True),
-and a gradient given that cache only forms M'(w * eps) / sigma^2, bit for bit
-the gradient of a call that makes its own pass. Both can build the residual in
-a caller's (2, L, T) workspace (out=) instead of new L x T arrays. The solvers
-use both: one pass per point serves the objective, the gradient, the
-half-quadratic matrix and the report's trace.
+An objective can hand back its pass as a ResidualCache (return_cache=True):
+the full matrix X it evaluated, the residual and the band weights. A gradient
+given that cache only forms M'(w * eps) / sigma^2, bit for bit the gradient of
+a call that makes its own pass. Both can build the residual in a caller's
+(2, L, T) workspace (out=) instead of new L x T arrays. The solvers use both:
+one pass per point serves the objective, the gradient, the half-quadratic
+matrix, the coupling to the split variable and the report's trace.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ class ReducedAbundance(_Matrix):
 
 @dataclass(frozen=True)
 class ResidualCache:
-    """Residuals Y - M X and the per-band Gaussian weights at one iterate."""
+    """The full R x T matrix X of one kernel pass, the residuals Y - M X and
+    the per-band Gaussian weights there."""
 
+    X: np.ndarray
     eps: np.ndarray
     band_weights: np.ndarray
 
@@ -112,7 +115,7 @@ def band_weights(handle: ProblemHandle, X, sigma: float) -> np.ndarray:
 def _objective(handle: ProblemHandle, X: np.ndarray, sigma: float, return_cache: bool, out):
     eps, w = _kernel(handle, X, sigma, out)
     value = -float(np.sum(w))
-    return (value, ResidualCache(eps=eps, band_weights=w)) if return_cache else value
+    return (value, ResidualCache(X=X, eps=eps, band_weights=w)) if return_cache else value
 
 
 def _gradient(handle: ProblemHandle, X: np.ndarray, sigma: float, cache, out):
@@ -134,9 +137,10 @@ def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = 
 
     With return_cache, returns the pair (value, ResidualCache at X): the kernel
     pass that gave the value, which gradient_full takes instead of a pass of
-    its own. out is an optional float64 (2, L, T) workspace: the residual is
-    built in out[0] (then the cache's eps, valid until out is used again) and
-    its squares in out[1], so the call allocates no L x T array.
+    its own; its X is the input array itself. out is an optional float64
+    (2, L, T) workspace: the residual is built in out[0] (then the cache's eps,
+    valid until out is used again) and its squares in out[1], so the call
+    allocates no L x T array.
     """
     return _objective(handle, _check_shapes(handle, X, handle.R), sigma, return_cache, out)
 
@@ -158,7 +162,7 @@ def objective_reduced_f1(
 ):
     """Negative correntropy in the reduced variables: objective_C at
     reconstruct_full(Xr), bit for bit. return_cache and out as in objective_C;
-    the cache is the pass at the full matrix."""
+    the cache is the pass at the full matrix, which it holds as X."""
     Xr = _check_shapes(handle, Xr, handle.R - 1)
     return _objective(handle, reconstruct_full(Xr), sigma, return_cache, out)
 

@@ -3,12 +3,13 @@
 The generic scaffold alternates an inexact x-minimization, a proximal z-step,
 and the scaled dual update, with the splitting x = z. Both problems share one
 x-update (_HalfQuadratic.x_update): it minimizes the kernel term of the fit plus
-the coupling rho/2 ||full(Xi) - (Z + U)||^2 over the problem's free variables
-Xi. They share one z-step too, max(v - b, 0): soft thresholding by b followed
-by projection onto the first orthant. Each problem supplies only its
+the coupling rho/2 ||X(Xi) - (Z + U)||^2 over the problem's free variables
+Xi, X(Xi) their full abundance matrix. They share one z-step too,
+max(v - b, 0): soft thresholding by b followed by projection onto the first
+orthant. Each problem supplies only its
 parameterization, its kernel functions, its threshold b and its final
 abundances. The fully-constrained solver's free variables are the reduced ones
-(last abundance row eliminated by the sum-to-one constraint, full rebuilds it)
+(last abundance row eliminated by the sum-to-one constraint, which rebuilds it)
 and its threshold is 0, so its z-step is the projection; the
 sparsity-promoting solver's are the full abundances, and its threshold is
 lam/rho.
@@ -17,12 +18,12 @@ The x-update takes half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
 the x-subproblem lies below the quadratic whose gradient there is g and whose
 Hessian is, per pixel, the small SPD matrix P = E'(M' W M / sigma^2 + rho I)E
-(W the band weights at the iterate, E the linear part of full, so E' is pull).
-The step x - P^-1 g minimizes that quadratic, so it lowers the objective by at
-least g' P^-1 g / 2; one solve of P with all T pixels as right-hand sides makes
-one step. The steps run in
-inner_gradient_descent at unit length; a step that fails its sufficient-decrease
-test, which only rounding could cause, ends the x-update at the point before it.
+(W the band weights at the iterate, E the linear part of Xi -> X(Xi), so E'
+is pull). The step x - P^-1 g minimizes that quadratic, so it lowers the
+objective by at least g' P^-1 g / 2; one solve of P with all T pixels as
+right-hand sides makes one step. The steps run in inner_gradient_descent at
+unit length; a step that fails its sufficient-decrease test, which only
+rounding could cause, ends the x-update at the point before it.
 
 An x-update takes config.max_inner_iters steps at most, one by default. One
 step from the previous iterate is majorized ADMM (Li, Sun & Toh, SIAM J.
@@ -31,15 +32,15 @@ case): the x-update minimizes the subproblem's majorizer exactly rather than
 the subproblem. On the tuned solves measured, more steps changed no outer
 iteration count.
 
-A step costs one kernel pass (residual, band energies, band weights): the
-objective's at the trial point. The run keeps the last pass with its point, so
-the gradient there, W, the next x-update's start value and the report's
-objective trace at the x-update's result all read it; a run evaluates the
-kernel once at its warm start and once per trial point, which with one step
-per x-update is at most once per outer iteration. The passes build their
+A step costs one kernel pass (full matrix, residual, band energies, band
+weights): the objective's at the trial point. The run keeps only the last pass
+with its point, so the gradient there, W, the coupling residual, the
+x-update's result, the next x-update's start value and the report's objective
+trace at that result all read it; a run evaluates the kernel, and builds the
+full matrix, once at its warm start and once per trial point, which with one
+step per x-update is at most once per outer iteration. The passes build their
 residual and its squares in a workspace of two L x T arrays that the run owns,
-so they allocate no L x T array. The full matrix and the coupling residual
-are built once per point too, and the outer loop's stopping rule reads the two
+so they allocate no L x T array. The outer loop's stopping rule reads the two
 residual norms of its report. The trace is the kernel term at the iterate:
 objective_C at the full x, bit for bit, for both solvers.
 
@@ -79,12 +80,12 @@ from .core import (
     _shrink_nonnegative,
 )
 from .correntropy import (
+    ResidualCache,
     gradient_full,
     gradient_reduced_f1,
     objective_C,
     objective_reduced_f1,
     pull,
-    reconstruct_full,
 )
 
 # Sufficient-decrease constant and relative gradient-norm tolerance of the
@@ -301,17 +302,17 @@ class _HalfQuadratic:
     parameterization of the abundances.
 
     The free variables Xi (the first n rows, n x T) give the full R x T matrix
-    full(Xi), and the x-subproblem at (Z, U) is
+    X(Xi), and the x-subproblem at (Z, U) is
 
-        kernel(Xi) + rho/2 ||full(Xi) - (Z + U)||^2,
+        kernel(Xi) + rho/2 ||X(Xi) - (Z + U)||^2,
 
-    kernel the correntropy term of the fit M full(Xi). With
-    D = full(Xi) - (Z + U) its gradient is the kernel gradient plus
-    rho pull(D), pull = E' the adjoint of full's linear part E.
+    kernel the correntropy term of the fit M X(Xi). With
+    D = X(Xi) - (Z + U) its gradient is the kernel gradient plus
+    rho pull(D), pull = E' the adjoint of the linear part E of Xi -> X(Xi).
     x_update(X_prev, Z, U) takes up to max_inner_iters steps of
     inner_gradient_descent (one by default) from the free rows of X_prev along
-    D = P^-1 G, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
-    and returns full of the result, read-only. rho is read once, when the run
+    P^-1 G, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
+    and returns X of the result, read-only. rho is read once, when the run
     builds its x-update.
 
     kernel_objective and kernel_gradient are the correntropy functions of the
@@ -319,47 +320,46 @@ class _HalfQuadratic:
     reduced variables, objective_C and gradient_full for the full ones),
     called with the run's handle, sigma and (2, L, T) workspace out, which
     every pass builds its residual in: the objective returns the kernel term
-    at Xi with the ResidualCache of its pass, and the gradient reads that
-    cache. The last pass is kept with its point (self.x; self.weights are its
-    band weights) across the run's x-updates, so the value, the gradient and
-    the direction at that point, and the trace at the x-update's result, read
-    it; any other point gets a pass of its own. Points are never modified in
-    place, so a pass is known by its point's array. P is shared by every
+    at Xi with the ResidualCache of its pass, which holds X(Xi), and the
+    gradient reads that cache. Only the last pass is kept, with its point
+    (self.x; self.weights are its band weights), across the run's x-updates,
+    so the value, the gradient, the direction and D at that point, the
+    x-update's result and the trace there, and the start of the next x-update
+    read it; any other point gets a pass of its own. Points are never modified
+    in place, so a pass is known by its point's array. P is shared by every
     pixel, so one solve with all pixels as right-hand sides serves the whole
     cube.
     """
 
     def __init__(
         self, handle: ProblemHandle, config: SolverConfig, sigma: float, n: int,
-        kernel_objective, kernel_gradient, *, full, pull,
+        kernel_objective, kernel_gradient, *, pull,
     ):
-        self.handle, self.sigma, self.n, self.full, self.pull = handle, sigma, n, full, pull
+        self.handle, self.sigma, self.n, self.pull = handle, sigma, n, pull
         self.rho, self.max_inner_iters = config.rho, config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
         self.work = np.empty((2, handle.L, handle.T))
-        self.x = None  # the point of the last kernel pass
-        self.term = None  # the kernel term at self.x
-        self.cache = None  # the ResidualCache at self.x
-        self.xi = self.X = None  # the last x-update's result: free rows, read-only full matrix
+        # the last kernel pass: its point, its kernel term, its ResidualCache
+        self.x = self.term = self.cache = None
 
     @property
     def weights(self) -> np.ndarray:
         return self.cache.band_weights
 
-    def value(self, xi: np.ndarray) -> float:
+    def evaluate(self, xi: np.ndarray) -> ResidualCache:
         if xi is not self.x:
             self.term, self.cache = self.kernel_objective(
                 self.handle, xi, self.sigma, return_cache=True, out=self.work
             )
             self.x = xi
-        return self.term
+        return self.cache
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
-        self.value(xi)
-        return self.kernel_gradient(self.handle, xi, self.sigma, cache=self.cache, out=self.work)
+        cache = self.evaluate(xi)
+        return self.kernel_gradient(self.handle, xi, self.sigma, cache=cache, out=self.work)
 
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self.value(xi)
+        self.evaluate(xi)
         M = self.handle.M
         H = (M.T * self.weights) @ M / self.sigma**2 + self.rho * np.eye(self.handle.R)
         P = self.pull(self.pull(H).T).T
@@ -367,29 +367,23 @@ class _HalfQuadratic:
 
     def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         V = z + u
-        cached = x_prev is self.X
-        # the last point, full there and D = full - V; the warm start's full is
-        # rebuilt, as its last row need not be 1 - (column sums)
-        point = [self.xi, self.X, self.X - V] if cached else [None] * 3
-
-        def coupling(xi: np.ndarray) -> list:
-            if xi is not point[0]:
-                X = self.full(xi)
-                point[:] = xi, X, X - V
-            return point
 
         def objective(xi: np.ndarray) -> float:
-            D = coupling(xi)[2]
-            return self.value(xi) + 0.5 * self.rho * float(np.sum(D * D))
+            D = self.evaluate(xi).X - V
+            return self.term + 0.5 * self.rho * float(np.sum(D * D))
 
         def gradient(xi: np.ndarray) -> np.ndarray:
-            return self.gradient(xi) + self.rho * self.pull(coupling(xi)[2])
+            g = self.gradient(xi)
+            return g + self.rho * self.pull(self.cache.X - V)
 
-        xi = self.xi if cached else x_prev[: self.n]
-        self.xi = inner_gradient_descent(gradient, objective, xi, self.max_inner_iters, self.direction)
-        self.X = coupling(self.xi)[1]
-        self.X.flags.writeable = False  # on_iteration sees the cached point
-        return self.X
+        # the last result starts from its pass; the warm start's X is rebuilt
+        # from its free rows, as its last row need not be 1 - (column sums)
+        resumed = self.cache is not None and x_prev is self.cache.X
+        xi = self.x if resumed else x_prev[: self.n]
+        xi = inner_gradient_descent(gradient, objective, xi, self.max_inner_iters, self.direction)
+        X = self.evaluate(xi).X
+        X.flags.writeable = False  # on_iteration sees the kept pass's matrix
+        return X
 
 
 def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -418,7 +412,7 @@ def _run_admm(config: SolverConfig, hq: _HalfQuadratic, b: float, X0, on_iterati
         lambda v: _shrink_nonnegative(v, b),
         config,
         init,
-        objective_fn=lambda x: hq.value(hq.xi),
+        objective_fn=lambda x: hq.term,
         on_iteration=on_iteration,
         sigma_used=hq.sigma,
     )
@@ -429,8 +423,7 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
         raise InvalidInput("the fully-constrained solver needs at least two endmembers")
     # the free rows are all but the last, X = E Xi + e_R, and pull is E'
     hq = _HalfQuadratic(
-        handle, config, sigma, handle.R - 1, objective_reduced_f1, gradient_reduced_f1,
-        full=reconstruct_full, pull=pull,
+        handle, config, sigma, handle.R - 1, objective_reduced_f1, gradient_reduced_f1, pull=pull
     )
     state, report = _run_admm(config, hq, 0.0, X0, on_iteration)
     X = _feasible_fc(state.z, state.x)
@@ -439,8 +432,7 @@ def _run_cusal_fc(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 
 def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0, on_iteration):
     hq = _HalfQuadratic(
-        handle, config, sigma, handle.R, objective_C, gradient_full,
-        full=lambda X: X, pull=lambda D: D,
+        handle, config, sigma, handle.R, objective_C, gradient_full, pull=lambda D: D
     )
     state, report = _run_admm(config, hq, config.lam / config.rho, X0, on_iteration)
     return AbundanceMatrix(state.z, tag="nonnegative"), report

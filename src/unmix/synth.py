@@ -24,6 +24,7 @@ from .core import (
     InvalidInput,
     ObservationMatrix,
     _check_int,
+    _real,
 )
 
 _MAX_REJECTIONS = 10_000
@@ -52,13 +53,17 @@ class SyntheticSpec:
         _check_int("seed", self.seed, 0)
         if self.sparsity_K is not None:
             _check_int("sparsity_K", self.sparsity_K, 1, self.R)
-        lo, hi = self.b_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise InvalidInput("b_range must be a finite (lo, hi) interval")
+        try:
+            lo, hi = map(_real, self.b_range)
+        except (TypeError, ValueError):  # not a pair
+            lo = hi = math.nan
+        if not (-math.inf < lo < hi < math.inf):
+            raise InvalidInput(f"b_range must be a finite (lo, hi) interval, got {self.b_range!r}")
+        snr = _real(self.snr_db)
         with np.errstate(over="ignore"):
-            power = np.float64(10.0) ** (self.snr_db / 10.0)  # 0 at -inf, nan at nan
-        if not (0.0 < power < math.inf or self.snr_db == math.inf):
-            raise InvalidInput(f"snr_db must be +inf or have 10^(snr_db/10) finite and > 0: {self.snr_db:g}")
+            power = np.float64(10.0) ** (snr / 10.0)  # 0 at -inf, nan at nan
+        if not (0.0 < power < math.inf or snr == math.inf):
+            raise InvalidInput(f"snr_db must be +inf or have 10^(snr_db/10) finite and > 0: {self.snr_db!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,8 @@ def gen_endmembers(R: int, L: int, seed: int = 0, min_angle_deg: float = 10.0) -
     _check_int("R", R, 1)
     _check_int("L", L, 1)
     _check_int("endmember seed", seed, 0)
-    if not (math.isfinite(min_angle_deg) and min_angle_deg >= 0):
-        raise InvalidInput(f"min_angle_deg must be a finite nonnegative angle, got {min_angle_deg}")
+    if not (0 <= _real(min_angle_deg) < math.inf):
+        raise InvalidInput(f"min_angle_deg must be a finite nonnegative angle, got {min_angle_deg!r}")
     if R > L:
         raise InvalidInput(f"cannot place {R} endmembers in {L} bands")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from unmix import (
 )
 import unmix
 from unmix import baselines, fileio, solvers, synth
-from unmix.cli import EXIT_INPUT, EXIT_OK, main
+from unmix.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, EXIT_TUNING, main
 from unmix.fileio import format_float, read_matrix, read_truth_meta, write_matrix
 from unmix.solvers import ALGORITHMS
 
@@ -46,6 +46,17 @@ def small_cube(tmp_path):
     code = run_cli(
         "generate", "--model", "lmm", "--R", 3, "--L", 30, "--T", 12,
         "--snr", "inf", "--corrupt", 0, "--seed", 5, "--out-dir", out,
+    )
+    assert code == EXIT_OK
+    return out
+
+
+@pytest.fixture
+def ci_cube(tmp_path):
+    """The cube of the CI workflow's command-line steps."""
+    out = tmp_path / "ci_cube"
+    code = run_cli(
+        "generate", "--R", 3, "--L", 30, "--T", 20, "--corrupt", 3, "--seed", 1, "--out-dir", out,
     )
     assert code == EXIT_OK
     return out
@@ -126,6 +137,25 @@ class TestGenerate:
             assert code == EXIT_OK
         for name in ("Y.txt", "truth_meta.txt"):
             assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+    def test_endmembers_file_is_used_as_given(self, small_cube, tmp_path, capsys):
+        out = tmp_path / "g"
+        code = run_cli(
+            "generate", "--R", 3, "--L", 30, "--T", 7, "--endmembers", small_cube / "M.txt",
+            "--out-dir", out,
+        )
+        assert code == EXIT_OK
+        assert (out / "M.txt").read_bytes() == (small_cube / "M.txt").read_bytes()
+        assert read_matrix(out / "Y.txt").shape == (30, 7)
+        # a file of another endmember count than --R is an input error
+        capsys.readouterr()
+        code = run_cli(
+            "generate", "--R", 4, "--L", 30, "--T", 7, "--endmembers", small_cube / "M.txt",
+            "--out-dir", tmp_path / "bad",
+        )
+        assert code == EXIT_INPUT
+        assert "does not match" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_b_range_needs_two_values(self, tmp_path, capsys):
         # the same converter as the experiment config's b_range key
@@ -324,6 +354,32 @@ class TestUnmixCommands:
         err = capsys.readouterr().err
         assert "iteration cap (--max-iters 2) after 2 outer iterations" in err
 
+    def test_diverged_solve_exits_3_and_warns(self, ci_cube, tmp_path, capsys):
+        capsys.readouterr()
+        code = run_cli(
+            "cusal-sp", ci_cube / "Y.txt", ci_cube / "M.txt", "--lambda", "1e-3",
+            "--sigma", 0.005, "--out", tmp_path / "X.txt",
+        )
+        assert code == EXIT_DIVERGED
+        assert "terminated on a primal residual increase" in capsys.readouterr().err
+        # the last iterate is still written
+        assert read_matrix(tmp_path / "X.txt").shape == (3, 20)
+
+    def test_failed_bandwidth_search_exits_4(self, ci_cube, tmp_path, capsys):
+        # Y x 3 leaves the endmembers' span: even fcls reconstructs 3.4 times
+        # worse than least squares, so the tuner gives up at its first poor fit
+        write_matrix(tmp_path / "Y3.txt", 3 * read_matrix(ci_cube / "Y.txt"))
+        capsys.readouterr()
+        code = run_cli(
+            "cusal-fc", tmp_path / "Y3.txt", ci_cube / "M.txt", "--sigma-auto",
+            "--out", tmp_path / "X.txt",
+        )
+        assert code == EXIT_TUNING
+        assert "no bandwidth can pass: the best feasible fit has reconstruction ratio 3.424" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "X.txt").exists()
+
     def test_sigma_with_sigma_auto_is_input_error(self, small_cube, tmp_path, capsys):
         code = run_cli(
             "cusal-fc", small_cube / "Y.txt", small_cube / "M.txt", "--sigma", 0.05,
@@ -520,6 +576,18 @@ class TestEval:
         name, value = capsys.readouterr().out.split()
         assert name == "SAD_rad"
         assert float(value) == pytest.approx(0.0, abs=1e-6)
+
+    def test_sad_in_degrees(self, small_cube, tmp_path, capsys):
+        M = read_matrix(small_cube / "M.txt")
+        write_matrix(tmp_path / "M2.txt", M + 0.05 * np.arange(M.size).reshape(M.shape) / M.size)
+        printed = {}
+        for flags in ((), ("--degrees",)):
+            code = run_cli("eval", "sad", small_cube / "M.txt", tmp_path / "M2.txt", *flags)
+            assert code == EXIT_OK
+            name, value = capsys.readouterr().out.split()
+            printed[name] = float(value)
+        assert printed["SAD_rad"] > 0
+        assert printed["SAD_deg"] == math.degrees(printed["SAD_rad"])
 
     def test_append_accumulates_rows(self, small_cube, tmp_path, capsys):
         table = tmp_path / "table.tsv"

@@ -74,6 +74,11 @@ class TestSoftThreshold:
         with pytest.raises(InvalidInput):
             soft_threshold(np.array([1.0]), -0.5)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, "a", True, None, np.array([1.0])])
+    def test_rejects_a_threshold_that_is_not_a_finite_real(self, b):
+        with pytest.raises(InvalidInput, match="threshold b"):
+            soft_threshold(np.array([1.0]), b)
+
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     def test_zero_threshold_is_identity(self, vals):
         v = np.array(vals)

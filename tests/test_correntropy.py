@@ -203,6 +203,12 @@ class TestKernelPassReuse:
         assert value == objective(h, V, 0.5)
         assert value == -float(np.sum(cache.band_weights))
         assert cache.eps.shape == (h.L, h.T)
+        # the cache holds the full matrix of its pass: the input array itself,
+        # or the reconstruction of the reduced variables
+        if objective is objective_C:
+            assert cache.X is V
+        else:
+            np.testing.assert_array_equal(cache.X, reconstruct_full(V))
         if workspace:
             assert np.shares_memory(cache.eps, out[0])
 

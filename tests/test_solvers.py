@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from unmix import (
     AdmmState,
     DimensionMismatch,
+    InnerSolverFailure,
     InvalidInput,
+    NonFiniteIterate,
     SolverConfig,
     SolverReport,
     Termination,
@@ -79,6 +82,22 @@ class TestAdmmGeneric:
         assert len(report.dual_residuals) == n
         assert len(report.objective_trace) == n
 
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("x", InvalidInput, "initial state must be finite"),
+            ("z", InvalidInput, "initial state must be finite"),
+            ("u", InvalidInput, "initial state must be finite"),
+            ("x_update", InnerSolverFailure, "x-update produced non-finite values"),
+        ],
+    )
+    def test_non_finite_values_raise(self, bad, error, message):
+        arrays = {name: np.zeros(2) for name in ("x", "z", "u", "x_update")}
+        arrays[bad] = np.array([0.0, np.nan])
+        init = AdmmState(x=arrays["x"], z=arrays["z"], u=arrays["u"])
+        with pytest.raises(error, match=message):
+            admm_generic(lambda x, z, u: arrays["x_update"], lambda v: v, SolverConfig(), init)
 
     def test_two_residual_norms_per_outer_iteration(self, monkeypatch):
         norms = []
@@ -208,6 +227,25 @@ class TestInnerGradientDescent:
         # the start and the one rejected trial: no shorter step is tried
         assert len(calls) == 2
         np.testing.assert_array_equal(out, x0)
+
+    @pytest.mark.parametrize(
+        "bad, replacement, message",
+        [
+            ("x_init", np.array([np.nan, 0.0]), "started from a non-finite point"),
+            ("objective_fn", lambda x: np.inf, "non-finite at the starting point"),
+            ("grad_fn", lambda x: np.array([np.inf, 0.0]), "gradient is non-finite"),
+            ("direction", lambda x, g: np.array([np.nan, 0.0]), "direction is non-finite"),
+        ],
+        ids=["start", "start_objective", "gradient", "direction"],
+    )
+    def test_non_finite_values_raise(self, bad, replacement, message):
+        a = np.array([1.0, 2.0])
+        parts = dict(
+            grad_fn=lambda x: x - a, objective_fn=lambda x: 0.5 * float(np.sum((x - a) ** 2)),
+            x_init=np.zeros(2), max_inner_iters=5, direction=lambda x, g: g,
+        )
+        with pytest.raises(NonFiniteIterate, match=message):
+            inner_gradient_descent(**{**parts, bad: replacement})
 
     def test_monotone_objective_on_correntropy_subproblem(self, rng):
         from unmix import gradient_reduced_f1, objective_reduced_f1
@@ -469,7 +507,7 @@ class TestOneStepDefault:
     def test_one_reconstruction_per_outer_iteration_plus_one_per_run(self, sigma_auto, monkeypatch):
         h = self.cube(3, 60, 40, 8, 1)
         rebuilds, reports = [], []
-        real_full, real_admm = solvers.reconstruct_full, solvers.admm_generic
+        real_full, real_admm = correntropy.reconstruct_full, solvers.admm_generic
 
         def counted_full(*args, **kwargs):
             rebuilds.append(1)
@@ -480,7 +518,10 @@ class TestOneStepDefault:
             reports.append(report)
             return state, report
 
-        monkeypatch.setattr(solvers, "reconstruct_full", counted_full)
+        # count the rebuilds made through every module that binds the function
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "unmix"]:
+            if getattr(module, "reconstruct_full", None) is real_full:
+                monkeypatch.setattr(module, "reconstruct_full", counted_full)
         monkeypatch.setattr(solvers, "admm_generic", spy)
         config = SolverConfig(sigma_auto=True) if sigma_auto else SolverConfig(sigma=0.05)
         cusal_fc(h, config)

@@ -135,6 +135,8 @@ class TestGenCube:
         for name, bad in (
             ("R", 3.0), ("L", 10.0), ("T", 5.5), ("T", True), ("n_corrupt", 1.0),
             ("sparsity_K", 2.0), ("sparsity_K", 0), ("seed", 1.0), ("seed", False),
+            # and b_range is a pair of reals
+            ("b_range", (1.0,)), ("b_range", ("a", 1.0)), ("b_range", 1.0),
         ):
             with pytest.raises(InvalidInput, match=name):
                 SyntheticSpec(**{"model": "lmm", "R": 3, "L": 10, "T": 5, "snr_db": 20.0, name: bad})
@@ -148,9 +150,10 @@ class TestGenCube:
         with pytest.raises(InvalidInput, match=r"\+inf"):
             SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=-math.inf)
 
-    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.nan])
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.nan, "a", True])
     def test_spec_rejects_snr_out_of_float_range(self, snr_db):
-        # 10^(snr_db/10) overflows, underflows to 0, or is nan
+        # 10^(snr_db/10) overflows, underflows to 0, or is nan; a string or a
+        # bool is not a real number
         with pytest.raises(InvalidInput, match="snr_db"):
             SyntheticSpec(model="lmm", R=3, L=10, T=5, snr_db=snr_db)
 
@@ -192,12 +195,17 @@ class TestGenEndmembers:
             (dict(R=0), "R"),
             (dict(R=3, min_angle_deg=math.nan), "min_angle_deg"),
             (dict(R=3, min_angle_deg=-5.0), "min_angle_deg"),
+            (dict(R=3, min_angle_deg="a"), "min_angle_deg"),
+            (dict(R=3, min_angle_deg=True), "min_angle_deg"),
             (dict(R=2.5), "R"),
             (dict(R=True), "R"),
             (dict(R=3, L=20.0), "L"),
             (dict(R=3, seed=0.5), "seed"),
         ],
-        ids=["seed", "R", "nan_angle", "negative_angle", "float_R", "bool_R", "float_L", "float_seed"],
+        ids=[
+            "seed", "R", "nan_angle", "negative_angle", "str_angle", "bool_angle",
+            "float_R", "bool_R", "float_L", "float_seed",
+        ],
     )
     def test_rejects_bad_arguments_naming_the_field(self, kwargs, field):
         # a nan angle compares false, so it would silently accept every
