@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -185,7 +186,7 @@ def _check_sigma(sigma) -> float:
     """sigma as a float; 2 sigma^2 must be a finite normal float, so that the
     kernel's 2 sigma^2 and the gradient's 1 / sigma^2 are finite and nonzero."""
     s = _real(sigma)
-    if not (s > 0 and np.finfo(float).tiny <= 2.0 * s * s < math.inf):
+    if not (s > 0 and sys.float_info.min <= 2.0 * s * s < math.inf):
         raise InvalidInput(f"sigma must be > 0 with 2*sigma^2 a finite normal float: {sigma}")
     return s
 

@@ -8,17 +8,19 @@ ones at reconstruct_full(Xr), the gradient mapped by pull, bit for bit.
 
 The objectives, gradients and residual cache go through one kernel pass: the
 residual of the fit, its per-band energies and the Gaussian band weights. The
-layer computes in float64, so its results are the same on every platform. All
-reductions go through numpy's fixed-tree pairwise summation: for a given array
-shape, repeated evaluations are bit-identical.
+layer computes in float64, so its results are the same on every platform. The
+band energies are one row-dot, np.einsum("ij,ij->i"): its summation order is
+fixed for a given shape and it uses no BLAS thread, so for a given array shape
+repeated evaluations are bit-identical, wherever the residual's buffer starts.
 
 An objective can hand back its pass as a ResidualCache (return_cache=True):
 the full matrix X it evaluated, the residual and the band weights. A gradient
-given that cache only forms M'(w * eps) / sigma^2, bit for bit the gradient of
-a call that makes its own pass. Both can build the residual in a caller's
-(2, L, T) workspace (out=) instead of new L x T arrays. The solvers use both:
-one pass per point serves the objective, the gradient, the half-quadratic
-matrix, the coupling to the split variable and the report's trace.
+given that cache only forms M'W eps / sigma^2, one product with the weights
+folded into M', bit for bit the gradient of a call that makes its own pass.
+Both can build the residual in a caller's (L, T) buffer (out=) instead of a
+new L x T array. The solvers use both: one pass per point serves the
+objective, the gradient, the half-quadratic matrix, the coupling to the split
+variable and the report's trace.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ def reconstruct_full(Xr) -> np.ndarray:
     arr = np.asarray(Xr, dtype=float)
     if arr.ndim != 2:
         raise InvalidInput("reduced abundances must be 2-D")
-    last = 1.0 - arr.sum(axis=0)
-    return np.vstack([arr, last[np.newaxis, :]])
+    full = np.empty((arr.shape[0] + 1, arr.shape[1]))
+    full[:-1] = arr
+    np.subtract(1.0, arr.sum(axis=0), out=full[-1])
+    return full
 
 
 def pull(G: np.ndarray) -> np.ndarray:
@@ -83,22 +87,20 @@ def _check_shapes(handle: ProblemHandle, X, rows: int) -> np.ndarray:
 def _kernel(handle: ProblemHandle, X: np.ndarray, sigma: float, out):
     """Residual Y - M X and band weights at the full R x T matrix X.
 
-    The residual is built in out[0] and its squares in out[1]; out is a float64
-    (2, L, T) workspace, a new one when None.
+    The residual is built in out, a float64 (L, T) buffer, a new one when None.
     """
     sigma = _check_sigma(sigma)
     if out is None:
-        out = np.empty((2, handle.L, handle.T))
-    elif out.shape != (2, handle.L, handle.T) or out.dtype != np.float64:
-        raise DimensionMismatch(f"the workspace must be float64 of shape {(2, handle.L, handle.T)}")
-    eps = np.matmul(handle.M, X, out=out[0])
+        out = np.empty((handle.L, handle.T))
+    elif out.shape != (handle.L, handle.T) or out.dtype != np.float64:
+        raise DimensionMismatch(f"out must be a float64 residual buffer of shape {(handle.L, handle.T)}")
+    eps = np.matmul(handle.M, X, out=out)
     np.subtract(handle.Y, eps, out=eps)
-    sq = np.multiply(eps, eps, out=out[1])
-    # Row-wise residual energy (pairwise sum along the contiguous axis), then
-    # the Gaussian factor; underflow to 0.0 is the intended saturation for
-    # bands far outside the kernel width.
+    # Row-wise residual energy (one row-dot, no squares buffer), then the
+    # Gaussian factor; underflow to 0.0 is the intended saturation for bands
+    # far outside the kernel width.
     with np.errstate(under="ignore"):
-        w = np.exp(-np.sum(sq, axis=1) / (2.0 * sigma**2))
+        w = np.exp(-np.einsum("ij,ij->i", eps, eps) / (2.0 * sigma**2))
     return eps, w
 
 
@@ -120,16 +122,12 @@ def _objective(handle: ProblemHandle, X: np.ndarray, sigma: float, return_cache:
 
 def _gradient(handle: ProblemHandle, X: np.ndarray, sigma: float, cache, out):
     """The gradient in the full matrix, from cache or, without one, a pass at X."""
+    sigma = _check_sigma(sigma)
     if cache is None:
         cache = _objective(handle, X, sigma, True, out)[1]
-    else:
-        _check_sigma(sigma)
-        if cache.eps.shape != (handle.L, handle.T) or cache.band_weights.shape != (handle.L,):
-            raise DimensionMismatch("the residual cache does not fit this problem")
-    weighted = np.multiply(
-        cache.band_weights[:, np.newaxis], cache.eps, out=None if out is None else out[1]
-    )
-    return -(1.0 / float(sigma) ** 2) * (handle.M.T @ weighted)
+    elif cache.eps.shape != (handle.L, handle.T) or cache.band_weights.shape != (handle.L,):
+        raise DimensionMismatch("the residual cache does not fit this problem")
+    return -(1.0 / sigma**2) * ((handle.M.T * cache.band_weights) @ cache.eps)
 
 
 def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = False, out=None):
@@ -138,9 +136,8 @@ def objective_C(handle: ProblemHandle, X, sigma: float, *, return_cache: bool = 
     With return_cache, returns the pair (value, ResidualCache at X): the kernel
     pass that gave the value, which gradient_full takes instead of a pass of
     its own; its X is the input array itself. out is an optional float64
-    (2, L, T) workspace: the residual is built in out[0] (then the cache's eps,
-    valid until out is used again) and its squares in out[1], so the call
-    allocates no L x T array.
+    (L, T) buffer: the residual is built in it (then the cache's eps, valid
+    until out is used again), so the call allocates no L x T array.
     """
     return _objective(handle, _check_shapes(handle, X, handle.R), sigma, return_cache, out)
 
@@ -150,9 +147,9 @@ def gradient_full(handle: ProblemHandle, X, sigma: float, *, cache=None, out=Non
 
     cache is the ResidualCache of objective_C(handle, X, sigma,
     return_cache=True) at this X; with it the gradient only forms
-    -M'(w * eps) / sigma^2 from the cached residual and weights, bit for bit
-    the value of a call without it. out is a workspace as in objective_C;
-    with a cache only out[1] is written, so the cache stays valid.
+    -M'W eps / sigma^2 from the cached residual and weights, bit for bit
+    the value of a call without it. out is a residual buffer as in
+    objective_C; with a cache it is not written, so the cache stays valid.
     """
     return _gradient(handle, _check_shapes(handle, X, handle.R), sigma, cache, out)
 

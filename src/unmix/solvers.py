@@ -20,10 +20,11 @@ the x-subproblem lies below the quadratic whose gradient there is g and whose
 Hessian is, per pixel, the small SPD matrix P = E'(M' W M / sigma^2 + rho I)E
 (W the band weights at the iterate, E the linear part of Xi -> X(Xi), so E'
 is pull). The step x - P^-1 g minimizes that quadratic, so it lowers the
-objective by at least g' P^-1 g / 2; one solve of P with all T pixels as
-right-hand sides makes one step. The steps run in inner_gradient_descent at
-unit length; a step that fails its sufficient-decrease test, which only
-rounding could cause, ends the x-update at the point before it.
+objective by at least g' P^-1 g / 2; one product of the small inverse P^-1
+with the gradients of all T pixels makes one step. The steps run in
+inner_gradient_descent at unit length; a step that fails its
+sufficient-decrease test, which only rounding could cause, ends the x-update
+at the point before it.
 
 An x-update takes config.max_inner_iters steps at most, one by default. One
 step from the previous iterate is majorized ADMM (Li, Sun & Toh, SIAM J.
@@ -39,10 +40,10 @@ x-update's result, the next x-update's start value and the report's objective
 trace at that result all read it; a run evaluates the kernel, and builds the
 full matrix, once at its warm start and once per trial point, which with one
 step per x-update is at most once per outer iteration. The passes build their
-residual and its squares in a workspace of two L x T arrays that the run owns,
-so they allocate no L x T array. The outer loop's stopping rule reads the two
-residual norms of its report. The trace is the kernel term at the iterate:
-objective_C at the full x, bit for bit, for both solvers.
+residual in one L x T buffer that the run owns, so they allocate no L x T
+array. The outer loop's stopping rule reads the two residual norms of its
+report. The trace is the kernel term at the iterate: objective_C at the full
+x, bit for bit, for both solvers.
 
 The ADMM state is R x T abundance matrices throughout, the layout of every
 other abundance iterate in the package: x, z and u are R x T arrays, the
@@ -208,7 +209,7 @@ def admm_generic(
 
     Returns the final state and a SolverReport with per-iteration residuals.
     """
-    if not (np.all(np.isfinite(init.x)) and np.all(np.isfinite(init.z)) and np.all(np.isfinite(init.u))):
+    if not (np.isfinite(init.x).all() and np.isfinite(init.z).all() and np.isfinite(init.u).all()):
         raise InvalidInput("initial state must be finite")
     state = init
     primal_hist: list[float] = []
@@ -220,7 +221,7 @@ def admm_generic(
     decision = Termination.CONTINUE
     while decision == Termination.CONTINUE:
         x_new = np.asarray(f_solver(state.x, state.z, state.u), dtype=float)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise InnerSolverFailure("x-update produced non-finite values")
         z_new = np.asarray(g_prox(x_new - state.u), dtype=float)
         u_new = state.u - (x_new - z_new)
@@ -272,27 +273,27 @@ def inner_gradient_descent(
     place, and x_init is not copied: without a step the result is x_init.
     """
     x = np.asarray(x_init, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteIterate("inner descent started from a non-finite point")
     f = float(objective_fn(x))
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteIterate("inner objective is non-finite at the starting point")
     for _ in range(max_inner_iters):
         g = np.asarray(grad_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteIterate("inner gradient is non-finite")
         if _norm(g) <= _INNER_TOL * (1.0 + _norm(x)):
             break
         d = np.asarray(direction(x, g), dtype=float)
         slope = float(_dot(g, d))
-        if not np.isfinite(slope):
+        if not math.isfinite(slope):
             raise NonFiniteIterate("inner descent direction is non-finite")
         x_try = x - d
         f_try = float(objective_fn(x_try))
-        if not (np.isfinite(f_try) and f_try <= f - _ARMIJO_C * slope):
+        if not (math.isfinite(f_try) and f_try <= f - _ARMIJO_C * slope):
             break
         x, f = x_try, f_try
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteIterate("inner descent produced a non-finite iterate")
     return x
 
@@ -318,7 +319,7 @@ class _HalfQuadratic:
     kernel_objective and kernel_gradient are the correntropy functions of the
     parameterization (objective_reduced_f1 and gradient_reduced_f1 for the
     reduced variables, objective_C and gradient_full for the full ones),
-    called with the run's handle, sigma and (2, L, T) workspace out, which
+    called with the run's handle, sigma and (L, T) residual buffer out, which
     every pass builds its residual in: the objective returns the kernel term
     at Xi with the ResidualCache of its pass, which holds X(Xi), and the
     gradient reads that cache. Only the last pass is kept, with its point
@@ -327,8 +328,8 @@ class _HalfQuadratic:
     x-update's result and the trace there, and the start of the next x-update
     read it; any other point gets a pass of its own. Points are never modified
     in place, so a pass is known by its point's array. P is shared by every
-    pixel, so one solve with all pixels as right-hand sides serves the whole
-    cube.
+    pixel, and SPD, so one product of inv(P) with all pixels' gradients
+    serves the whole cube.
     """
 
     def __init__(
@@ -338,7 +339,7 @@ class _HalfQuadratic:
         self.handle, self.sigma, self.n, self.pull = handle, sigma, n, pull
         self.rho, self.max_inner_iters = config.rho, config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
-        self.work = np.empty((2, handle.L, handle.T))
+        self.work = np.empty((handle.L, handle.T))
         # the last kernel pass: its point, its kernel term, its ResidualCache
         self.x = self.term = self.cache = None
 
@@ -361,9 +362,9 @@ class _HalfQuadratic:
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.evaluate(xi)
         M = self.handle.M
-        H = (M.T * self.weights) @ M / self.sigma**2 + self.rho * np.eye(self.handle.R)
-        P = self.pull(self.pull(H).T).T
-        return np.linalg.solve(P, g)
+        H = (M.T * self.weights) @ M / self.sigma**2
+        H.flat[:: self.handle.R + 1] += self.rho
+        return np.linalg.inv(self.pull(self.pull(H).T).T) @ g
 
     def x_update(self, x_prev: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         V = z + u
@@ -567,7 +568,7 @@ def cusal_fc(
 
     The x-update takes a half-quadratic step on the reduced objective plus
     the scaled quadratic coupling from the previous iterate (at most
-    config.max_inner_iters steps, one by default), each one solve of the
+    config.max_inner_iters steps, one by default), each one inverse of the
     (R-1) x (R-1) matrix E'(M' W M / sigma^2 + rho I)E (E the linear part of
     reconstruct_full, W the band weights of the kernel pass at the full
     iterate), reconstructs the full matrix (unit column sums by construction),
@@ -592,7 +593,7 @@ def cusal_sp(
 
     The x-update takes a half-quadratic step on the full variables from the
     previous iterate (at most config.max_inner_iters steps, one by default),
-    each one solve of the R x R matrix M' W M / sigma^2 + rho I (W the band
+    each one inverse of the R x R matrix M' W M / sigma^2 + rho I (W the band
     weights of the kernel pass at the iterate); the z-update
     soft-thresholds by lam/rho and projects onto the first orthant in one
     shrink, max(v - lam/rho, 0).

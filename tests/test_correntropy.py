@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from unmix import (
     residual_cache,
     validate_problem,
 )
+from unmix import correntropy
 
 from conftest import random_problem
 from oracles import central_difference_gradient, max_relative_error
@@ -198,7 +200,7 @@ class TestKernelPassReuse:
     ):
         h, M, X, Y = random_problem(rng, L=37, R=4, T=23, residual_scale=0.4)
         V = variables(X + 0.05 * rng.standard_normal(X.shape))
-        out = np.empty((2, h.L, h.T)) if workspace else None
+        out = np.empty((h.L, h.T)) if workspace else None
         value, cache = objective(h, V, 0.5, return_cache=True, out=out)
         assert value == objective(h, V, 0.5)
         assert value == -float(np.sum(cache.band_weights))
@@ -210,7 +212,7 @@ class TestKernelPassReuse:
         else:
             np.testing.assert_array_equal(cache.X, reconstruct_full(V))
         if workspace:
-            assert np.shares_memory(cache.eps, out[0])
+            assert np.shares_memory(cache.eps, out)
 
     @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
     @pytest.mark.parametrize("workspace", [False, True], ids=["new-arrays", "workspace"])
@@ -219,7 +221,7 @@ class TestKernelPassReuse:
     ):
         h, M, X, Y = random_problem(rng, L=37, R=4, T=23, residual_scale=0.4)
         V = variables(X + 0.05 * rng.standard_normal(X.shape))
-        out = np.empty((2, h.L, h.T)) if workspace else None
+        out = np.empty((h.L, h.T)) if workspace else None
         _, cache = objective(h, V, 0.5, return_cache=True, out=out)
         eps = cache.eps.copy()
         expected = gradient(h, V, 0.5)
@@ -235,9 +237,98 @@ class TestKernelPassReuse:
         _, cache = objective_C(h_other, X_other, 0.5, return_cache=True)
         with pytest.raises(DimensionMismatch):
             gradient_full(h, X, 0.5, cache=cache)
-        for out in (np.empty((2, 13, 5)), np.empty((2, 12, 5), dtype=np.float32)):
+        # the residual buffer is float64 of shape (L, T); the (2, L, T)
+        # workspace of earlier versions is rejected too
+        for out in (np.empty((13, 5)), np.empty((12, 5), dtype=np.float32), np.empty((2, 12, 5))):
             with pytest.raises(DimensionMismatch):
                 objective_C(h, X, 0.5, out=out)
+
+
+class TestLeanKernelPass:
+    """A pass forms its band energies as one row-dot and the gradient as one
+    product with the band weights folded into M': no L x T temporary, and
+    results within rounding of the elementwise forms."""
+
+    @staticmethod
+    def recorded_energies(monkeypatch):
+        """The band energies of every kernel pass made after the call."""
+        seen, real = [], np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            result = real(subscripts, *operands, **kwargs)
+            if subscripts == "ij,ij->i":
+                seen.append(result.copy())
+            return result
+
+        monkeypatch.setattr(correntropy.np, "einsum", spy)
+        return seen
+
+    @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
+    def test_a_pass_and_its_gradient_make_no_L_by_T_temporary(
+        self, objective, gradient, variables, rng
+    ):
+        h, M, X, Y = random_problem(rng, L=200, R=3, T=2000, residual_scale=0.1)
+        V = variables(X)
+        buf = np.empty((h.L, h.T))
+        objective(h, V, 0.5, return_cache=True, out=buf)  # first-call set-up
+        tracemalloc.start()
+        try:
+            _, cache = objective(h, V, 0.5, return_cache=True, out=buf)
+            G = gradient(h, V, 0.5, cache=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.shape == V.shape
+        # a weighted residual w * eps or a squares buffer would be L * T * 8 bytes
+        assert peak < h.L * h.T * 8 / 2
+
+    def test_band_energies_are_the_row_sums_of_squares_within_rounding(self, rng, monkeypatch):
+        h, M, X, Y = random_problem(rng, L=244, R=3, T=2500, residual_scale=0.1)
+        sigma = 2.0
+        seen = self.recorded_energies(monkeypatch)
+        _, cache = objective_C(h, X, sigma, return_cache=True)
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0], np.sum(cache.eps * cache.eps, axis=1), rtol=4e-15, atol=0)
+        np.testing.assert_array_equal(cache.band_weights, np.exp(-seen[0] / (2.0 * sigma**2)))
+
+    def test_band_energies_do_not_depend_on_where_the_buffer_starts(self, rng, monkeypatch):
+        # reruns in other processes get other addresses; every 8-byte offset
+        # into a 64-byte line gives the same bits
+        h, M, X, Y = random_problem(rng, L=244, R=3, T=2500, residual_scale=0.1)
+        seen = self.recorded_energies(monkeypatch)
+        results = []
+        for k in range(8):
+            big = np.empty(h.L * h.T + 8)
+            buf = big[k : k + h.L * h.T].reshape(h.L, h.T)
+            value, cache = objective_C(h, X, 2.0, return_cache=True, out=buf)
+            assert np.shares_memory(cache.eps, buf)
+            results.append((value, cache.band_weights))
+        assert len(seen) == 8
+        for energies, (value, weights) in zip(seen[1:], results[1:]):
+            np.testing.assert_array_equal(energies, seen[0])
+            np.testing.assert_array_equal(weights, results[0][1])
+            assert value == results[0][0]
+
+    @pytest.mark.parametrize("objective, gradient, variables", KERNEL_PAIRS, ids=["full", "reduced"])
+    def test_gradient_matches_the_weighted_residual_form_within_rounding(
+        self, objective, gradient, variables, rng
+    ):
+        h, M, X, Y = random_problem(rng, L=244, R=5, T=300, residual_scale=0.1)
+        sigma = 0.8
+        V = variables(X + 0.05 * rng.standard_normal(X.shape))
+        _, cache = objective(h, V, sigma, return_cache=True)
+        w, eps = cache.band_weights, cache.eps
+        expected = -(M.T @ (w[:, np.newaxis] * eps)) / sigma**2
+        if objective is objective_reduced_f1:
+            expected = expected[:-1] - expected[-1:]
+        G = gradient(h, V, sigma, cache=cache)
+        # each form's sums of L products err by at most about L u times the
+        # sum of the products' magnitudes
+        scale = (np.abs(M.T) * w) @ np.abs(eps) / sigma**2
+        if objective is objective_reduced_f1:
+            scale = scale[:-1] + scale[-1:]
+        bound = 2 * h.L * np.finfo(float).eps * scale
+        assert np.all(np.abs(G - expected) <= bound)
 
 
 # bandwidths whose 2 sigma^2 overflows, underflows to 0, or is subnormal (then

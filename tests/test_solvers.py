@@ -434,6 +434,35 @@ class TestHalfQuadraticStep:
         # next x-update, every gradient, the directions and the trace reuse them
         assert len(passes) == trial_points + 1
 
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_direction_matches_a_solve_of_the_half_quadratic_matrix(self, solve, monkeypatch):
+        # the criterion-6 cube shape, R = 20: the direction is inv(P) @ G,
+        # within rounding of solving P with the pixels as right-hand sides
+        M = gen_endmembers(20, 244, seed=60, min_angle_deg=10.0)
+        spec = SyntheticSpec(
+            model="lmm", R=20, L=244, T=225, snr_db=30.0, n_corrupt=40, sparsity_K=4, seed=1
+        )
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        M = h.M
+        errors = []
+        real = solvers._HalfQuadratic.direction
+
+        def checked(hq, xi, g):
+            d = real(hq, xi, g)
+            H = (M.T * hq.weights) @ M / hq.sigma**2 + hq.rho * np.eye(h.R)
+            P = hq.pull(hq.pull(H).T).T
+            expected = np.linalg.solve(P, g)
+            errors.append(np.linalg.norm(d - expected) / np.linalg.norm(expected))
+            assert errors[-1] <= 8 * np.linalg.cond(P) * np.finfo(float).eps
+            return d
+
+        monkeypatch.setattr(solvers._HalfQuadratic, "direction", checked)
+        config = SolverConfig(sigma=_initial_sigma(h)[1], lam=1e-3, max_outer_iters=10)
+        solve(h, config)
+        assert len(errors) >= 5
+        assert max(errors) < 1e-14
+
     def test_newton_direction_solves_a_quadratic_in_one_step(self, rng):
         B = rng.standard_normal((5, 5))
         H = B @ B.T + 0.1 * np.eye(5)
