@@ -78,7 +78,8 @@ def _add_algorithms(sub):
             )
             p.add_argument(
                 "--rho", type=float, default=SolverConfig.rho,
-                help=f"ADMM penalty (default {SolverConfig.rho:g})",
+                help=f"floor of the ADMM penalty (default {SolverConfig.rho:g}): each run uses "
+                "max(rho, lambda_min(M'W0M)/sigma^2), W0 the band weights at the warm start",
             )
             p.add_argument(
                 "--max-iters", type=int, default=SolverConfig.max_outer_iters,
@@ -117,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unmix",
         description="Robust hyperspectral abundance estimation (correntropy ADMM solvers, "
         "quadratic baselines, synthetic data, metrics).",
-        epilog=f"Solver defaults: rho={SolverConfig.rho:g}, "
+        epilog=f"Solver defaults: rho={SolverConfig.rho:g} (the floor of each correntropy run's "
+        "penalty max(rho, lambda_min(M'W0M)/sigma^2), W0 the band weights at the warm start), "
         f"{SolverConfig.max_outer_iters:g} outer iterations, "
         f"residual thresholds {thresholds}. Fixed values, not settings: "
         f"{SolverConfig.max_inner_iters:g} half-quadratic step per x-update (majorized ADMM), "
@@ -187,6 +189,8 @@ def _write_report(path, report, handle, X) -> None:
         fh.write(f"# iterations_run {report.iterations_run}\n")
         if report.sigma_used is not None:
             fh.write(f"# sigma_used {fileio.format_float(report.sigma_used)}\n")
+        if report.rho_used is not None:
+            fh.write(f"# rho_used {fileio.format_float(report.rho_used)}\n")
         fh.write(f"# reconstruction_ratio {fileio.format_float(ratio)}\n")
         for attempt in attempts:
             shown = float("nan") if attempt.ratio is None else attempt.ratio

@@ -198,7 +198,10 @@ class SolverConfig:
     sigma           Gaussian kernel bandwidth, > 0 with 2 sigma^2 a finite normal
                     float; required unless sigma_auto, and rejected with it.
                     It and the reals below may not be bools.
-    rho             ADMM penalty, a positive finite real.
+    rho             floor of the ADMM penalty, a positive finite real. Each
+                    correntropy run uses max(rho, lambda_min(M' W0 M) /
+                    sigma^2), W0 the band weights at its warm start, and
+                    reports it as SolverReport.rho_used.
     lam             l1 weight for the sparsity-promoting problem, a nonnegative
                     finite real.
     eps_primal/dual per-coordinate residual tolerances, positive finite reals;
@@ -259,6 +262,8 @@ class SolverReport:
     x-update's last kernel pass: objective_C at the full x, bit for bit, for
     both solvers. tuning is the bandwidth search's TuningTrace when the
     run is the accepted attempt of a sigma_auto solve, None otherwise.
+    rho_used is the run's ADMM penalty, which its dual residuals and
+    stopping rule read; sigma_used and rho_used are positive when set.
     """
 
     iterations_run: int
@@ -268,6 +273,7 @@ class SolverReport:
     termination_reason: Termination
     sigma_used: Optional[float] = None
     tuning: Optional[object] = None
+    rho_used: Optional[float] = None
 
     def __post_init__(self):
         n = self.iterations_run
@@ -283,8 +289,9 @@ class SolverReport:
                 raise InvalidInput(
                     "PRIMAL_INCREASED requires the last primal residual to exceed the previous one"
                 )
-        if self.sigma_used is not None and not (self.sigma_used > 0):
-            raise InvalidInput("sigma_used must be positive when set")
+        for name in ("sigma_used", "rho_used"):
+            if getattr(self, name) is not None and not (getattr(self, name) > 0):
+                raise InvalidInput(f"{name} must be positive when set")
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,13 @@ def sad(Y, Y_hat, exclude_bands=()) -> float:
     excl = sorted({int(i) for i in exclude_bands})
     if excl and (excl[0] < 0 or excl[-1] >= L):
         raise InvalidInput(f"exclude indices must lie in [0, {L})")
-    keep = np.setdiff1d(np.arange(L), excl)
-    if keep.size == 0:
+    Ak, Bk = A, B
+    if excl:
+        keep = np.ones(L, dtype=bool)
+        keep[excl] = False
+        Ak, Bk = A[keep], B[keep]
+    if Ak.shape[0] == 0:
         raise InvalidInput("all bands excluded")
-    Ak, Bk = A[keep, :], B[keep, :]
     s = _scale(np.maximum(np.max(np.abs(Ak), axis=0), np.max(np.abs(Bk), axis=0)))
     Ak, Bk = Ak / s, Bk / s
     na = np.linalg.norm(Ak, axis=0)

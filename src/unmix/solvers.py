@@ -14,15 +14,24 @@ and its threshold is 0, so its z-step is the projection; the
 sparsity-promoting solver's are the full abundances, and its threshold is
 lam/rho.
 
+Each run sets its own penalty from its first kernel pass, at the warm start:
+rho = max(config.rho, lambda_min(M' W0 M) / sigma^2), W0 that pass's band
+weights, so config.rho is the penalty's floor. A narrow kernel makes the data
+term's curvature M' W M / sigma^2 large, and a coupling much weaker than it
+leaves the x-update all but ignoring z + u, so the primal residual barely
+falls (Boyd et al. 2011, sec. 3.4.1). The coupling, the threshold lam/rho,
+the dual residual and the stopping rule all read that one rho, and it stays
+fixed through the run; each tuner attempt sets its own.
+
 The x-update takes half-quadratic (majorize-minimize) steps. The kernel term
 -exp(-s / 2 sigma^2) is concave in the band energy s, so at the current iterate
 the x-subproblem lies below the quadratic whose gradient there is g and whose
 Hessian is, per pixel, the small SPD matrix P = E'(M' W M / sigma^2 + rho I)E
 (W the band weights at the iterate, E the linear part of Xi -> X(Xi), so E'
-is pull). The step x - P^-1 g minimizes that quadratic, so it lowers the
-objective by at least g' P^-1 g / 2; one product of the small inverse P^-1
-with the gradients of all T pixels makes one step. The steps run in
-inner_gradient_descent at unit length; a step that fails its
+is pull, rho the run's penalty). The step x - P^-1 g minimizes that
+quadratic, so it lowers the objective by at least g' P^-1 g / 2; one product
+of the small inverse P^-1 with the gradients of all T pixels makes one step.
+The steps run in inner_gradient_descent at unit length; a step that fails its
 sufficient-decrease test, which only rounding could cause, ends the x-update
 at the point before it.
 
@@ -30,20 +39,22 @@ An x-update takes config.max_inner_iters steps at most, one by default. One
 step from the previous iterate is majorized ADMM (Li, Sun & Toh, SIAM J.
 Optim. 2016; Hong, Luo & Razaviyayn, SIAM J. Optim. 2016, for the nonconvex
 case): the x-update minimizes the subproblem's majorizer exactly rather than
-the subproblem. On the tuned solves measured, more steps changed no outer
-iteration count.
+the subproblem. On the tuned grid-fc solves measured (fc and sp, both cube
+seeds, with and without corrupted bands), 50 steps changed one outer
+iteration count, by one.
 
 A step costs one kernel pass (full matrix, residual, band energies, band
 weights): the objective's at the trial point. The run keeps only the last pass
 with its point, so the gradient there, W, the coupling residual, the
 x-update's result, the next x-update's start value and the report's objective
-trace at that result all read it; a run evaluates the kernel, and builds the
-full matrix, once at its warm start and once per trial point, which with one
-step per x-update is at most once per outer iteration. The passes build their
-residual in one L x T buffer that the run owns, so they allocate no L x T
-array. The outer loop's stopping rule reads the two residual norms of its
-report. The trace is the kernel term at the iterate: objective_C at the full
-x, bit for bit, for both solvers.
+trace at that result all read it. The pass at the warm start, which sets rho
+before the loop, is the first x-update's start value. So a run evaluates the
+kernel, and builds the full matrix, once at its warm start and once per trial
+point, which with one step per x-update is at most once per outer iteration.
+The passes build their residual in one L x T buffer that the run owns, so
+they allocate no L x T array. The outer loop's stopping rule reads the two
+residual norms of its report. The trace is the kernel term at the iterate:
+objective_C at the full x, bit for bit, for both solvers.
 
 The ADMM state is R x T abundance matrices throughout, the layout of every
 other abundance iterate in the package: x, z and u are R x T arrays, the
@@ -253,6 +264,7 @@ def admm_generic(
         objective_trace=tuple(obj_hist),
         termination_reason=decision,
         sigma_used=sigma_used,
+        rho_used=config.rho,
     )
     return state, report
 
@@ -313,8 +325,9 @@ class _HalfQuadratic:
     x_update(X_prev, Z, U) takes up to max_inner_iters steps of
     inner_gradient_descent (one by default) from the free rows of X_prev along
     P^-1 G, P = E'HE = pull(pull(H)')' with H = M' W M / sigma^2 + rho I,
-    and returns X of the result, read-only. rho is read once, when the run
-    builds its x-update.
+    and returns X of the result, read-only. start(X0, floor) makes the run's
+    first pass, at the warm start, and sets rho from it before the first
+    x-update, which resumes from that pass; rho does not change after.
 
     kernel_objective and kernel_gradient are the correntropy functions of the
     parameterization (objective_reduced_f1 and gradient_reduced_f1 for the
@@ -337,15 +350,37 @@ class _HalfQuadratic:
         kernel_objective, kernel_gradient, *, pull,
     ):
         self.handle, self.sigma, self.n, self.pull = handle, sigma, n, pull
-        self.rho, self.max_inner_iters = config.rho, config.max_inner_iters
+        self.max_inner_iters = config.max_inner_iters
         self.kernel_objective, self.kernel_gradient = kernel_objective, kernel_gradient
         self.work = np.empty((handle.L, handle.T))
         # the last kernel pass: its point, its kernel term, its ResidualCache
         self.x = self.term = self.cache = None
+        self.x0 = self.rho = None  # the warm start and the penalty, set by start
 
     @property
     def weights(self) -> np.ndarray:
         return self.cache.band_weights
+
+    def curvature(self) -> np.ndarray:
+        """M' W M / sigma^2, W the band weights of the last pass: a new array."""
+        M = self.handle.M
+        return (M.T * self.weights) @ M / self.sigma**2
+
+    def start(self, X0: np.ndarray, rho_floor: float) -> float:
+        """Make the run's first kernel pass, at the free rows of the warm start
+        X0 (which must not change), and set rho = max(rho_floor, the smallest
+        eigenvalue of the curvature there); the first x-update resumes from
+        that pass. A curvature that overflows (a near-exact fit at a bandwidth
+        near the float range) keeps the floor. Returns rho."""
+        self.evaluate(X0[: self.n])
+        self.x0 = X0
+        with np.errstate(over="ignore"):
+            H = self.curvature()
+        if np.isfinite(H).all():
+            self.rho = max(rho_floor, float(np.linalg.eigvalsh(H)[0]))
+        else:
+            self.rho = rho_floor
+        return self.rho
 
     def evaluate(self, xi: np.ndarray) -> ResidualCache:
         if xi is not self.x:
@@ -361,8 +396,7 @@ class _HalfQuadratic:
 
     def direction(self, xi: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.evaluate(xi)
-        M = self.handle.M
-        H = (M.T * self.weights) @ M / self.sigma**2
+        H = self.curvature()
         H.flat[:: self.handle.R + 1] += self.rho
         return np.linalg.inv(self.pull(self.pull(H).T).T) @ g
 
@@ -377,9 +411,10 @@ class _HalfQuadratic:
             g = self.gradient(xi)
             return g + self.rho * self.pull(self.cache.X - V)
 
-        # the last result starts from its pass; the warm start's X is rebuilt
-        # from its free rows, as its last row need not be 1 - (column sums)
-        resumed = self.cache is not None and x_prev is self.cache.X
+        # the last result and the warm start start from their passes; start's
+        # pass rebuilt the warm start's X from its free rows, as its last row
+        # need not be 1 - (column sums)
+        resumed = x_prev is self.cache.X or x_prev is self.x0
         xi = self.x if resumed else x_prev[: self.n]
         xi = inner_gradient_descent(gradient, objective, xi, self.max_inner_iters, self.direction)
         X = self.evaluate(xi).X
@@ -398,20 +433,25 @@ def _feasible_fc(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_admm(config: SolverConfig, hq: _HalfQuadratic, b: float, X0, on_iteration):
+def _run_admm(config: SolverConfig, hq: _HalfQuadratic, lam: float, X0, on_iteration):
     """The ADMM run both problems share: x and z start at a read-only copy of
     the R x T warm start X0, the scaled dual at zero, x-updates are hq's, the
-    z-step is max(v - b, 0) in place on v = x - u (b = 0 projects onto the
-    first orthant), and the report traces the kernel term at the free rows of
-    every new x, which the x-update's last pass computed. Returns the final
-    state and the report."""
+    z-step is max(v - lam/rho, 0) in place on v = x - u (lam = 0 projects onto
+    the first orthant), and the report traces the kernel term at the free rows
+    of every new x, which the x-update's last pass computed.
+
+    hq.start makes the kernel pass at the warm start and sets the run's rho
+    from it; the x-update, the threshold lam/rho and, through the config
+    handed to admm_generic, the dual residual and the stopping rule read it.
+    Returns the final state and the report."""
     x0 = np.array(X0, dtype=float, order="C")
     x0.flags.writeable = False
+    rho = hq.start(x0, config.rho)
     init = AdmmState(x=x0, z=x0.copy(), u=np.zeros_like(x0))
     return admm_generic(
         hq.x_update,
-        lambda v: _shrink_nonnegative(v, b),
-        config,
+        lambda v: _shrink_nonnegative(v, lam / rho),
+        replace(config, rho=rho),
         init,
         objective_fn=lambda x: hq.term,
         on_iteration=on_iteration,
@@ -435,7 +475,7 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
     hq = _HalfQuadratic(
         handle, config, sigma, handle.R, objective_C, gradient_full, pull=lambda D: D
     )
-    state, report = _run_admm(config, hq, config.lam / config.rho, X0, on_iteration)
+    state, report = _run_admm(config, hq, config.lam, X0, on_iteration)
     return AbundanceMatrix(state.z, tag="nonnegative"), report
 
 
@@ -571,8 +611,9 @@ def cusal_fc(
     config.max_inner_iters steps, one by default), each one inverse of the
     (R-1) x (R-1) matrix E'(M' W M / sigma^2 + rho I)E (E the linear part of
     reconstruct_full, W the band weights of the kernel pass at the full
-    iterate), reconstructs the full matrix (unit column sums by construction),
-    projects for z, and updates the dual.
+    iterate, rho = max(config.rho, lambda_min(M' W0 M) / sigma^2) with W0
+    the band weights at the warm start), reconstructs the full matrix (unit
+    column sums by construction), projects for z, and updates the dual.
     Returns the feasible solution (nonnegative, exact unit column sums) and the
     run report. With config.sigma_auto the bandwidth tuner drives the solve and
     the accepted attempt is returned, its report carrying the TuningTrace.
@@ -594,7 +635,8 @@ def cusal_sp(
     The x-update takes a half-quadratic step on the full variables from the
     previous iterate (at most config.max_inner_iters steps, one by default),
     each one inverse of the R x R matrix M' W M / sigma^2 + rho I (W the band
-    weights of the kernel pass at the iterate); the z-update
+    weights of the kernel pass at the iterate, rho the run's penalty as in
+    cusal_fc); the z-update
     soft-thresholds by lam/rho and projects onto the first orthant in one
     shrink, max(v - lam/rho, 0).
     Returns the nonnegative z iterate and the run report. With

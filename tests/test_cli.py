@@ -244,10 +244,12 @@ class TestUnmixCommands:
         lines = (tmp_path / "report.tsv").read_text().splitlines()
         header = [line for line in lines if line.startswith("# ")]
         keys = [line.split()[1] for line in header]
-        existing = ["termination_reason", "iterations_run", "sigma_used", "reconstruction_ratio"]
+        existing = [
+            "termination_reason", "iterations_run", "sigma_used", "rho_used", "reconstruction_ratio"
+        ]
         assert keys == existing + ["tuner_attempt"] * len(trace.attempts)
-        assert header[3] == f"# reconstruction_ratio {format_float(trace.attempts[-1].ratio)}"
-        assert header[4:] == [
+        assert header[4] == f"# reconstruction_ratio {format_float(trace.attempts[-1].ratio)}"
+        assert header[5:] == [
             f"# tuner_attempt {format_float(a.sigma)} {a.outcome.value} "
             f"{'nan' if a.ratio is None else format_float(a.ratio)}"
             for a in trace.attempts
@@ -256,6 +258,32 @@ class TestUnmixCommands:
         if algorithm == "sp":
             # this cube makes the sparse tuner move on after a divergence
             assert [a.outcome.value for a in trace.attempts] == ["diverged", "converged"]
+
+    def test_report_gives_the_penalty_and_reruns_byte_identical(self, tmp_path):
+        # a clean grid-fc cell, which stalled at the 30-iteration cap at rho = 1
+        cube = tmp_path / "cube"
+        run_cli(
+            "generate", "--R", 3, "--L", 120, "--T", 200, "--snr", 30, "--seed", 1,
+            "--out-dir", cube,
+        )
+        for run in (1, 2):
+            code = run_cli(
+                "cusal-fc", cube / "Y.txt", cube / "M.txt", "--sigma-auto", "--max-iters", 30,
+                "--out", tmp_path / f"X{run}.txt", "--report-path", tmp_path / f"report{run}.tsv",
+            )
+            assert code == EXIT_OK
+        report = (tmp_path / "report1.tsv").read_text()
+        assert report == (tmp_path / "report2.tsv").read_text()
+        h = validate_problem(read_matrix(cube / "Y.txt"), read_matrix(cube / "M.txt"))
+        _, expected = cusal_fc(h, SolverConfig(sigma_auto=True, max_outer_iters=30))
+        lines = report.splitlines()
+        assert lines[:4] == [
+            "# termination_reason residuals_small",
+            f"# iterations_run {expected.iterations_run}",
+            f"# sigma_used {format_float(expected.sigma_used)}",
+            f"# rho_used {format_float(expected.rho_used)}",
+        ]
+        assert expected.rho_used > 1.0
 
     def test_fixed_bandwidth_report_fits_least_squares_once(self, small_cube, tmp_path, monkeypatch):
         ls_calls = []

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from unmix import (
     DimensionMismatch,
+    InvalidInput,
     NonFiniteData,
     UndefinedMetric,
     ZeroNormSpectrum,
@@ -92,6 +93,37 @@ class TestSad:
         Yh[2, :] = 5.0  # corrupt one band of the estimate
         assert sad(Y, Yh) > 1e-3
         assert sad(Y, Yh, exclude_bands=[2]) == pytest.approx(0.0, abs=1e-7)
+
+    @staticmethod
+    def setdiff_sad(Y, Yh, exclude_bands):
+        # the formula before the row mask: the kept rows by np.setdiff1d
+        keep = np.setdiff1d(np.arange(Y.shape[0]), sorted({int(i) for i in exclude_bands}))
+        A, B = Y[keep, :], Yh[keep, :]
+        s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(A).max(0), np.abs(B).max(0)))[1] - 1)
+        A, B = A / s, B / s
+        cos = np.sum(A * B, axis=0) / (np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=0))
+        return float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0))))
+
+    @pytest.mark.parametrize(
+        "exclude", [(), [7, 2, 19, 2, 0], np.array([3, 3, 11, 5]), range(1, 20, 3)]
+    )
+    def test_row_mask_gives_the_setdiff_bits(self, rng, exclude):
+        Y = rng.uniform(0.1, 1.0, size=(20, 30))
+        Yh = Y + rng.normal(0.0, 0.05, size=Y.shape)
+        assert sad(Y, Yh, exclude) == self.setdiff_sad(Y, Yh, exclude)
+
+    @pytest.mark.parametrize(
+        "exclude, message",
+        [
+            ([1, -1], r"exclude indices must lie in \[0, 4\)"),
+            ([4, 0], r"exclude indices must lie in \[0, 4\)"),
+            ([3, 1, 2, 0, 1], "all bands excluded"),
+        ],
+    )
+    def test_bad_exclusions_keep_their_messages(self, exclude, message):
+        Y = np.ones((4, 3))
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            sad(Y, Y, exclude)
 
     def test_zero_norm_spectrum_rejected(self):
         Y = np.array([[1.0, 0.0], [1.0, 0.0]])

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from unmix import (
     TuneOutcome,
     TuningFailed,
     admm_generic,
+    band_weights,
     cusal_fc,
     cusal_sp,
     gen_cube,
@@ -23,6 +25,7 @@ from unmix import (
     inner_gradient_descent,
     objective_C,
     rmse,
+    reconstruct_full,
     reconstruction_ratio,
     solve_fcls,
     solve_ls,
@@ -479,28 +482,30 @@ class TestHalfQuadraticStep:
 # cusal_fc and cusal_sp on a small corrupted cube (R=3, L=30, T=8, SNR 30,
 # 4 corrupted bands, cube seed 1, endmember seed 0) at sigma 0.05, lam 1e-3,
 # 40 outer iterations and 50 half-quadratic steps per x-update, as the
-# multi-step x-update computed them when 50 steps were the default: 3
-# iterations to residuals_small each. On the machine that recorded them they
-# are reproduced bit for bit; the tolerance only admits another BLAS build's
-# rounding.
+# multi-step x-update computes them at the run's own penalty (rho about 30.6
+# for fc and 37.3 for sp, the smallest eigenvalue of the warm start's
+# curvature): 6 and 7 iterations to residuals_small. On the machine that
+# recorded them they are reproduced bit for bit; the tolerance only admits
+# another BLAS build's rounding.
 FIFTY_STEP_ABUNDANCES = {
     "fc": [
-        0.1552308623655552, 0.15376034484843512, 0.46861949981819234, 0.3773743819091039,
-        0.6216048391773545, 0.10541887551122578, 0.15508670009218578, 0.15034272614300168,
-        0.0492498947930939, 0.05973501286123437, 0.508252821811716, 0.5135730440523224,
-        0.0860784765692804, 0.5900101415034883, 0.6083354336749129, 0.4962478794917645,
-        0.7955192428413509, 0.7865046422903306, 0.023127678370091553, 0.10905257403857371,
-        0.2923166842533651, 0.30457098298528595, 0.23657786623290122, 0.3534093943652338,
+        0.15523085802887845, 0.15376036559025405, 0.46861951598291113, 0.377374415547154,
+        0.621604821863871, 0.10541887583266649, 0.15508669867189648, 0.15034273601533646,
+        0.049249897385600594, 0.05973499508770795, 0.5082528070652106, 0.5135730153517009,
+        0.08607849211161199, 0.5900101413942321, 0.6083354345570972, 0.4962478712159093,
+        0.7955192445855209, 0.7865046393220381, 0.02312767695187823, 0.10905256910114514,
+        0.292316686024517, 0.30457098277310135, 0.23657786677100634, 0.35340939276875427,
     ],
     "sp": [
-        0.15828727942279894, 0.15516804667258513, 0.4693119883983027, 0.3779840575264564,
-        0.6205938919659767, 0.10917426973317156, 0.15615962903766473, 0.1512866846762847,
-        0.040352991581426544, 0.05432957819415209, 0.506672347498228, 0.5107580552450969,
-        0.0891368525790193, 0.5742649872854484, 0.6071310047250305, 0.4945400378885759,
-        0.7916006849430401, 0.7841831647016309, 0.022170039512126916, 0.10835424851146531,
-        0.2938117391459239, 0.2988319202444613, 0.23597788543644904, 0.3528070410727635,
+        0.15828727404366197, 0.155168051838449, 0.46931199360317266, 0.3779840809958842,
+        0.6205938818595834, 0.10917426191064133, 0.15615963151548318, 0.15128668925524297,
+        0.04035299982654435, 0.05432957248081561, 0.5066723428149245, 0.5107580301326657,
+        0.0891368632522466, 0.5742649942838328, 0.607131003802583, 0.49454003167426225,
+        0.7916006846292942, 0.7841831638845381, 0.02217003875668668, 0.10835424278732617,
+        0.29381174145856337, 0.29883192273449, 0.23597788365532182, 0.3528070411290421,
     ],
 }
+FIFTY_STEP_ITERATIONS = {"fc": 6, "sp": 7}
 
 
 class TestOneStepDefault:
@@ -580,7 +585,7 @@ class TestOneStepDefault:
         config = SolverConfig(sigma=0.05, lam=1e-3, max_outer_iters=40, max_inner_iters=50)
         X, report = self.SOLVES[algorithm](h, config)
         expected = np.array(FIFTY_STEP_ABUNDANCES[algorithm]).reshape(h.R, h.T)
-        assert report.iterations_run == 3
+        assert report.iterations_run == FIFTY_STEP_ITERATIONS[algorithm]
         assert report.termination_reason == Termination.RESIDUALS_SMALL
         np.testing.assert_allclose(X.data, expected, rtol=0, atol=1e-13)
         # the knob is live: one step per x-update lands elsewhere
@@ -599,6 +604,117 @@ class TestOneStepDefault:
         assert one.termination_reason == fifty.termination_reason
         assert one.sigma_used == fifty.sigma_used
         np.testing.assert_allclose(X1.data, X50.data, rtol=0, atol=1e-5)
+
+
+def floored_curvature(h, X, sigma, floor):
+    """max(floor, the smallest eigenvalue of M' W M / sigma^2), W the band
+    weights at the full matrix X."""
+    w0 = band_weights(h, X, sigma)
+    return max(floor, np.linalg.eigvalsh((h.M.T * w0) @ h.M / sigma**2)[0])
+
+
+class TestPenaltyFromCurvature:
+    @staticmethod
+    def grid_cube(seed):
+        # a clean cell of the grid-fc benchmark: endmember seed 0, min angle
+        # 10 degrees, R=3, L=120, T=200, SNR 30, no corrupted bands
+        M = gen_endmembers(3, 120, seed=0, min_angle_deg=10.0)
+        spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=0, seed=seed)
+        Y, _ = gen_cube(M, spec)
+        return validate_problem(Y, M)
+
+    @staticmethod
+    def spy_runs(monkeypatch):
+        """Record the config and report of every ADMM run."""
+        runs = []
+        real = solvers.admm_generic
+
+        def spy(f_solver, g_prox, config, init, **kwargs):
+            state, report = real(f_solver, g_prox, config, init, **kwargs)
+            runs.append((config, report))
+            return state, report
+
+        monkeypatch.setattr(solvers, "admm_generic", spy)
+        return runs
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_clean_grid_cells_converge_within_the_cap(self, seed):
+        # at rho = 1 the narrow kernel's curvature swamps the coupling and
+        # these solves stall at the 30-iteration cap
+        _, report = cusal_fc(self.grid_cube(seed), SolverConfig(sigma_auto=True, max_outer_iters=30))
+        assert report.termination_reason == Termination.RESIDUALS_SMALL
+        assert report.rho_used > 10 * SolverConfig.rho
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_rho_is_the_floored_curvature_at_the_warm_start(self, solve, monkeypatch):
+        h = self.grid_cube(1)
+        runs = self.spy_runs(monkeypatch)
+        steps = []
+        config = SolverConfig(sigma_auto=True, lam=1e-3, max_outer_iters=30)
+        _, report = solve(h, config, on_iteration=lambda prev, nxt: steps.append((prev.z, nxt.z)))
+        X0 = solvers._PROBLEMS["fc" if solve is cusal_fc else "sp"][1](h)
+        # the fc run's first pass is at the warm start rebuilt from its free rows
+        X0 = reconstruct_full(X0[:-1]) if solve is cusal_fc else X0
+        assert report.rho_used == floored_curvature(h, X0, report.sigma_used, config.rho) > 1
+        # the stopping rule and the dual residuals read that rho
+        assert [c.rho for c, _ in runs] == [report.rho_used]
+        assert len(steps) == report.iterations_run
+        expected = [report.rho_used * np.linalg.norm(z1 - z0) for z0, z1 in steps]
+        np.testing.assert_allclose(report.dual_residuals, expected, rtol=1e-14, atol=0)
+
+    def test_every_tuner_attempt_gets_its_own_rho(self, monkeypatch):
+        # a cube on which the sparse tuner diverges once and then converges
+        M = gen_endmembers(3, 30, seed=0)
+        spec = SyntheticSpec(
+            model="ppnmm", R=3, L=30, T=10, snr_db=40.0, n_corrupt=28, seed=2
+        )
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        runs = self.spy_runs(monkeypatch)
+        _, report = cusal_sp(h, SolverConfig(sigma_auto=True, lam=1e-3))
+        X0 = solve_sunsal_sparse(h, 0.0).data
+        assert len(runs) == len(report.tuning.attempts) >= 2
+        for (config, run), attempt in zip(runs, report.tuning.attempts):
+            assert run.sigma_used == attempt.sigma
+            assert config.rho == run.rho_used == floored_curvature(h, X0, attempt.sigma, 1.0)
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_an_explicit_rho_above_the_curvature_is_kept(self, solve):
+        h = self.grid_cube(1)
+        config = SolverConfig(sigma=0.15, lam=1e-3, rho=1e4, max_outer_iters=5)
+        _, report = solve(h, config)
+        assert report.rho_used == 1e4
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_the_floor_holds_on_the_criterion_6_cube(self, solve, monkeypatch):
+        # R = 20: the smallest eigenvalue is far below 1, so every attempt
+        # runs at config.rho, as before the rule
+        M = gen_endmembers(20, 244, seed=60, min_angle_deg=10.0)
+        spec = SyntheticSpec(
+            model="lmm", R=20, L=244, T=225, snr_db=30.0, n_corrupt=40, sparsity_K=4, seed=1
+        )
+        Y, _ = gen_cube(M, spec)
+        h = validate_problem(Y, M)
+        runs = self.spy_runs(monkeypatch)
+        _, report = solve(h, SolverConfig(sigma_auto=True, lam=1e-3, max_outer_iters=30))
+        assert report.rho_used == SolverConfig.rho
+        assert runs and all(c.rho == r.rho_used == SolverConfig.rho for c, r in runs)
+
+    @pytest.mark.parametrize("solve", [cusal_fc, cusal_sp], ids=["fc", "sp"])
+    def test_an_overflowing_curvature_keeps_the_floor(self, solve):
+        # an exact fit keeps every band weight at 1, so M'M / sigma^2
+        # overflows at a bandwidth near the float range
+        M = 10 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        h = validate_problem(M @ np.array([[0.5, 0.25], [0.5, 0.75]]), M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve(h, SolverConfig(sigma=1.1e-154, max_outer_iters=5))
+        assert report.rho_used == SolverConfig.rho
+
+    def test_report_rejects_a_nonpositive_rho(self):
+        for rho in (0.0, -1.0):
+            with pytest.raises(InvalidInput, match="rho_used must be positive"):
+                SolverReport(1, (0.1,), (0.1,), (0.0,), Termination.MAX_ITERS, rho_used=rho)
 
 
 class TestSimplexProjection:
