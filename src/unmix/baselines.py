@@ -2,11 +2,11 @@
 and l1-regularized nonnegative least squares.
 
 The constrained problems are solved per pixel by ADMM with a closed-form
-quadratic update: K = 2 M'M + rho I is Cholesky-factored and inverted once,
-and every iteration applies the R x R inverse to all pixels in one product
-(the per-pixel solves are independent). Both problems share one z-step,
-max(v - lam/rho, 0): soft thresholding followed by projection onto the first
-orthant, a plain projection at the fully-constrained problem's lam = 0. The
+quadratic update: K = 2 M'M + rho I is Cholesky-factored and inverted once
+per penalty, and every iteration applies the R x R inverse to all pixels in
+one product (the per-pixel solves are independent). Both problems share one
+z-step, max(v - lam/rho, 0): soft thresholding followed by projection onto
+the first orthant, a plain projection at the fully-constrained problem's lam = 0. The
 QR of M and the factor of K come from numpy.linalg, so the package needs no
 SciPy. The loop re-validates nothing per iteration: it writes into
 preallocated buffers, the z-step works in place, and the iterates are checked
@@ -20,6 +20,17 @@ both in abundance units, against one tolerance. Neither depends on the units
 of Y and M: rescaling both by a power of two (and lam by its square) gives
 the same iterations and bit-identical abundances, and data in percent
 reflectance or sensor counts converge as reflectances do.
+
+The penalty rho starts at 0.35 times 2 s_min s_max of M (its extreme
+singular values), the fixed penalty that suits the unrelaxed loop, and is
+then balanced (Boyd et al. 2011, section 3.4.1): every 10th iteration, at
+most 50 times per solve, it doubles when the primal residual's norm exceeds
+10 times the dual's and halves in the opposite case, and the x-update's
+matrices are rebuilt. The smaller start takes about half the iterations on
+well-conditioned R = 3 to 5 cubes; balancing raises it on ill-conditioned
+R = 20 ones, where it alone would take about three times as many. The
+factors are exact powers of two and both residuals are in abundance units,
+so the data units still change nothing.
 
 The loop is over-relaxed with alpha = 1.5 (Eckstein & Bertsekas, Math. Prog.
 1992; Boyd et al., "Distributed Optimization and Statistical Learning via the
@@ -61,6 +72,16 @@ _BASELINE_MAX_ITERS = 30000
 # cut the iteration counts by about a third on R = 3 to 20 cubes; 1.8 took
 # more than 1.5 on some.
 _RELAXATION = 1.5
+# Penalty of the baseline ADMM loops (see _admm): it starts at
+# _PENALTY_SCALE * 2 s_min s_max of M, which took about half the iterations
+# of 1 * 2 s_min s_max on R = 3 to 5 cubes, and is balanced every
+# _BALANCE_PERIOD-th iteration, at most _BALANCE_MAX_CHANGES times per
+# solve, when one residual norm exceeds _BALANCE_RATIO times the other, so
+# that ill-conditioned R = 20 cubes do not pay for the smaller start.
+_PENALTY_SCALE = 0.35
+_BALANCE_PERIOD = 10
+_BALANCE_MAX_CHANGES = 50
+_BALANCE_RATIO = 10.0
 
 
 def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
@@ -98,57 +119,32 @@ def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
 
 
 def _default_rho(M: np.ndarray) -> float:
-    # The geometric mean of the extreme eigenvalues of 2 M'M, 2 s_min s_max,
-    # is the optimal fixed penalty of ADMM on a strongly convex quadratic
-    # (Ghadimi, Teixeira, Shames & Johansson, IEEE TAC 2015); the mean
-    # eigenvalue stalls at the iteration cap on ill-conditioned M.
+    # 2 s_min s_max, the geometric mean of the extreme eigenvalues of 2 M'M,
+    # is the best fixed penalty of unrelaxed ADMM on a strongly convex
+    # quadratic (Ghadimi, Teixeira, Shames & Johansson, IEEE TAC 2015); the
+    # mean eigenvalue stalls at the iteration cap on ill-conditioned M. The
+    # over-relaxed loop starts at _PENALTY_SCALE times it and balances the
+    # penalty from there (see _admm).
     s = np.linalg.svd(M, compute_uv=False)
     return float(2.0 * s.min() * s.max())
 
 
-def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
-    """Per-pixel over-relaxed ADMM for min ||y - M x||^2 + lam ||z||_1
-    subject to x = z >= 0.
-
-    The x-update is x = rho K^-1 (z + u) + K^-1 2 M'y. With sum_to_one it is
-    corrected onto the hyperplane 1'x = 1 by the KKT correction of that
-    solve, P x + q / 1'q with q = K^-1 1 and P = I - q 1' / 1'q; being affine,
-    the correction is folded into rho K^-1 and K^-1 2 M'y once, at set-up,
-    and the loop body is the same for both problems. The z-step overwrites
-    a copy of the relaxed point v = alpha x + (1 - alpha) z - u
-    (alpha = _RELAXATION; Boyd et al. 2011, section 3.4.3) with
-    max(v - lam/rho, 0), the proximal map of lam/rho ||.||_1 plus the
-    orthant's indicator, its threshold computed once; at lam = 0 it is the
-    projection onto the first orthant, bit for bit. The dual update is
-    u = z+ - v. At a fixed point x = z, so v = z - u as without relaxation:
-    the solution does not move. The loop stops when the primal residual
-    x - z+ and the dual residual z+ - z both have norms of at most
-    sqrt(R*T) * _BASELINE_TOL. Both are in abundance units (Boyd et al.
-    2011, section 3.3.1, state each tolerance in its residual's units), so
-    the rule does not depend on the units of Y and M; the dual residual of
-    that text, rho (z+ - z), grows with the square of the data units through
-    rho. When a norm overflows while the iterates are finite, the relaxed
-    x - z+ stays as large as the iterates and would never meet that
-    tolerance, so the rest of the solve runs at alpha = 1. Z starts at the
-    clipped least-squares abundances of the handle. Returns the last (X, Z)
-    iterates and whether the residuals fell below tolerance before the cap.
-    Raises NonFiniteIterate when an iterate has a non-finite entry.
-    """
-    M, Y = handle.M, handle.Y
-    R, T = handle.R, handle.T
-    rho = _default_rho(M)
-    b = lam / rho
-    # K = 2 M'M + rho I = C C' has a Cholesky factor C exactly when it is
-    # positive definite. One product with K^-1 = inv(C)' inv(C) per iteration
-    # is much cheaper than a Cholesky solve with T right-hand sides; with this
-    # rho, cond(K) = cond(M), so the explicit inverse loses nothing at
-    # _BASELINE_TOL.
+def _x_update_terms(MtM2, MtY2, rho: float, lam: float, sum_to_one: bool):
+    """The x-update's terms at penalty rho: (rho K^-1, K^-1 2 M'y, lam/rho),
+    K = 2 M'M + rho I, with fcls's sum-to-one correction folded into the
+    first two."""
+    R = MtM2.shape[0]
+    # K = C C' has a Cholesky factor C exactly when it is positive definite.
+    # One product with K^-1 = inv(C)' inv(C) per iteration is much cheaper
+    # than a Cholesky solve with T right-hand sides. cond(K) is within about
+    # 3 cond(M) at the starting penalty, smaller at a larger rho and at most
+    # cond(M'M), so the explicit inverse loses nothing at _BASELINE_TOL.
     try:
-        Cinv = np.linalg.inv(np.linalg.cholesky(2.0 * (M.T @ M) + rho * np.eye(R)))
+        Cinv = np.linalg.inv(np.linalg.cholesky(MtM2 + rho * np.eye(R)))
     except np.linalg.LinAlgError as exc:
         raise SingularNormalEquations(str(exc)) from exc
     Kinv = Cinv.T @ Cinv
-    Kinv_MtY2 = Kinv @ (2.0 * (M.T @ Y))
+    Kinv_MtY2 = Kinv @ MtY2
     rho_Kinv = rho * Kinv
     if sum_to_one:
         # x <- P x + q / 1'q, the KKT correction, folded into both terms
@@ -160,6 +156,53 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
         P = np.eye(R) - np.outer(q_unit, np.ones(R))
         rho_Kinv = P @ rho_Kinv
         Kinv_MtY2 = P @ Kinv_MtY2 + q_unit[:, None]
+    return rho_Kinv, Kinv_MtY2, lam / rho
+
+
+def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
+    """Per-pixel over-relaxed ADMM for min ||y - M x||^2 + lam ||z||_1
+    subject to x = z >= 0.
+
+    The x-update is x = rho K^-1 (z + u) + K^-1 2 M'y. With sum_to_one it is
+    corrected onto the hyperplane 1'x = 1 by the KKT correction of that
+    solve, P x + q / 1'q with q = K^-1 1 and P = I - q 1' / 1'q; being affine,
+    the correction is folded into rho K^-1 and K^-1 2 M'y whenever they are
+    built (_x_update_terms), and the loop body is the same for both problems.
+    The z-step overwrites a copy of the relaxed point
+    v = alpha x + (1 - alpha) z - u (alpha = _RELAXATION; Boyd et al. 2011,
+    section 3.4.3) with max(v - lam/rho, 0), the proximal map of
+    lam/rho ||.||_1 plus the orthant's indicator; at lam = 0 it is the
+    projection onto the first orthant, bit for bit. The dual update is
+    u = z+ - v. At a fixed point x = z, so v = z - u as without relaxation:
+    the solution does not move. The loop stops when the primal residual
+    x - z+ and the dual residual z+ - z both have norms of at most
+    sqrt(R*T) * _BASELINE_TOL. Both are in abundance units (Boyd et al.
+    2011, section 3.3.1, state each tolerance in its residual's units), so
+    the rule does not depend on the units of Y and M; the dual residual of
+    that text, rho (z+ - z), grows with the square of the data units through
+    rho. When a norm overflows while the iterates are finite, the relaxed
+    x - z+ stays as large as the iterates and would never meet that
+    tolerance, so the rest of the solve runs at alpha = 1.
+
+    The penalty starts at _PENALTY_SCALE * 2 s_min s_max and is balanced
+    (Boyd et al. 2011, section 3.4.1): every _BALANCE_PERIOD-th iteration,
+    at most _BALANCE_MAX_CHANGES times per solve, it doubles when the primal
+    residual's norm exceeds _BALANCE_RATIO times the dual's and halves in
+    the opposite case, the scaled dual u is divided by the same factor and
+    the x-update's terms and threshold are rebuilt. Both norms are in
+    abundance units and the factor is exactly 2, so rescaling Y and M by a
+    power of two (and lam by its square) still gives the same iterations and
+    bit-identical abundances. An iteration whose norms are not finite does
+    not balance. Z starts at the clipped least-squares abundances of the
+    handle. Returns the last (X, Z) iterates and whether the residuals fell
+    below tolerance before the cap. Raises NonFiniteIterate when an iterate
+    has a non-finite entry.
+    """
+    M, Y = handle.M, handle.Y
+    R, T = handle.R, handle.T
+    MtM2, MtY2 = 2.0 * (M.T @ M), 2.0 * (M.T @ Y)
+    rho = _PENALTY_SCALE * _default_rho(M)
+    rho_Kinv, Kinv_MtY2, b = _x_update_terms(MtM2, MtY2, rho, lam, sum_to_one)
 
     Z = project_nonnegative(handle.least_squares)
     U = np.zeros((R, T))
@@ -173,7 +216,8 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     S, S_dual = D
     alpha = _RELAXATION
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
-    for _ in range(_BASELINE_MAX_ITERS):
+    changes = 0
+    for it in range(1, _BASELINE_MAX_ITERS + 1):
         np.add(Z, U, out=S)
         np.matmul(rho_Kinv, S, out=X)
         X += Kinv_MtY2
@@ -199,6 +243,17 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
             alpha = 1.0
         elif primal <= eps_stop and dual <= eps_stop:
             return X, Z, True
+        elif it % _BALANCE_PERIOD == 0 and changes < _BALANCE_MAX_CHANGES:
+            if primal > _BALANCE_RATIO * dual:
+                factor = 2.0
+            elif dual > _BALANCE_RATIO * primal:
+                factor = 0.5
+            else:
+                continue
+            rho *= factor
+            U /= factor
+            rho_Kinv, Kinv_MtY2, b = _x_update_terms(MtM2, MtY2, rho, lam, sum_to_one)
+            changes += 1
     return X, Z, False
 
 

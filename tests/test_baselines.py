@@ -301,17 +301,28 @@ def test_sparse_lambda_accepts_any_real_the_solver_config_accepts(lam):
     np.testing.assert_array_equal(solve_sunsal_sparse(h, lam).data, solve_sunsal_sparse(h, float(lam)).data)
 
 
-def _count_iterations(monkeypatch):
-    """Count baseline ADMM iterations through the z-step, run once in each."""
-    calls = [0]
+def _z_steps(monkeypatch):
+    """Record the threshold b = lam/rho of every baseline z-step, run once
+    per ADMM iteration: the list's length counts the iterations, and with
+    lam > 0 a change of b is a change of the penalty."""
+    thresholds = []
     real = baselines._shrink_nonnegative
 
     def spy(v, b):
-        calls[0] += 1
+        thresholds.append(b)
         return real(v, b)
 
     monkeypatch.setattr(baselines, "_shrink_nonnegative", spy)
-    return calls
+    return thresholds
+
+
+def _penalty_changes(thresholds):
+    """{index of the first z-step at a new penalty: new b / old b}"""
+    return {
+        i: thresholds[i] / thresholds[i - 1]
+        for i in range(1, len(thresholds))
+        if thresholds[i] != thresholds[i - 1]
+    }
 
 
 def _grid_cube(n_corrupt=0, seed=1, scale=1.0):
@@ -322,22 +333,51 @@ def _grid_cube(n_corrupt=0, seed=1, scale=1.0):
     return validate_problem(gen_cube(M, spec)[0].data * scale, M * scale)
 
 
+def _r20_cube(scale=1.0):
+    """A cube of acceptance criterion 6's shape (R=20, L=244, T=225, SNR 30,
+    40 corrupted bands, K=4, endmember seed 60, cube seed 1), Y and M both
+    multiplied by scale. Its solves balance the penalty several times."""
+    M = gen_endmembers(20, 244, seed=60, min_angle_deg=10.0).data
+    spec = SyntheticSpec(
+        model="lmm", R=20, L=244, T=225, snr_db=30.0, n_corrupt=40, sparsity_K=4, seed=1
+    )
+    return validate_problem(gen_cube(M, spec)[0].data * scale, M * scale)
+
+
 def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
-    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations, and relaxed
-    # with the dual residual measured as rho (z+ - z) 63 / 24 / 60; the margin
-    # leaves room for another BLAS's rounding, not for either of those loops
+    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations, relaxed with
+    # the dual residual measured as rho (z+ - z) 63 / 24 / 60, and relaxed at
+    # the fixed penalty 2 s_min s_max 54 / 20 / 48; the margin leaves room for
+    # another BLAS's rounding, not for any of those loops
     h = _grid_cube()
-    calls = _count_iterations(monkeypatch)
+    thresholds = _z_steps(monkeypatch)
     counts = {}
     for name, solve in [
         ("fcls", solve_fcls),
         ("sparse 0", lambda h: solve_sunsal_sparse(h, 0.0)),
         ("sparse 1e-3", lambda h: solve_sunsal_sparse(h, 1e-3)),
     ]:
-        calls[0] = 0
+        thresholds.clear()
         solve(h)
-        counts[name] = calls[0]
-    assert counts == pytest.approx({"fcls": 54, "sparse 0": 20, "sparse 1e-3": 48}, abs=2)
+        counts[name] = len(thresholds)
+    assert counts == pytest.approx({"fcls": 32, "sparse 0": 20, "sparse 1e-3": 22}, abs=2)
+
+
+def _solve_in_two_units(monkeypatch, cube, k):
+    """fcls and sunsal-sparse at lam = 1e-3 on cube(1.0), then at lam * 4^k on
+    cube(2^k): per unit, both outputs' bytes and both iteration counts, and
+    the set of thresholds the sparse solves used."""
+    thresholds = _z_steps(monkeypatch)
+    results, sparse_thresholds = [], set()
+    for scale, lam in [(1.0, 1e-3), (2.0**k, 1e-3 * 4.0**k)]:
+        h = cube(scale)
+        thresholds.clear()
+        X_fc = solve_fcls(h).data
+        fcls_iters = len(thresholds)
+        X_sp = solve_sunsal_sparse(h, lam).data
+        results.append((X_fc.tobytes(), X_sp.tobytes(), fcls_iters, len(thresholds) - fcls_iters))
+        sparse_thresholds.update(thresholds[fcls_iters:])
+    return results, sparse_thresholds
 
 
 @pytest.mark.parametrize("k", [-10, 7, 14])
@@ -345,16 +385,40 @@ def test_baselines_do_not_depend_on_the_data_units(monkeypatch, k):
     # (2^k Y, 2^k M) with lam * 4^k is the same problem in other units: rho
     # scales by 4^k, and every quantity the loop compares is in abundance
     # units, so each floating-point operation is scaled by a power of two
-    calls = _count_iterations(monkeypatch)
-    results = []
-    for scale, lam in [(1.0, 1e-3), (2.0**k, 1e-3 * 4.0**k)]:
-        h = _grid_cube(scale=scale)
-        calls[0] = 0
-        X_fc = solve_fcls(h).data
-        fcls_iters = calls[0]
-        X_sp = solve_sunsal_sparse(h, lam).data
-        results.append((X_fc.tobytes(), X_sp.tobytes(), fcls_iters, calls[0] - fcls_iters))
+    results, _ = _solve_in_two_units(monkeypatch, lambda scale: _grid_cube(scale=scale), k)
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("k", [-10, 7, 14])
+def test_balanced_baselines_do_not_depend_on_the_data_units(monkeypatch, k):
+    # the grid cube never balances its penalty; this cube does, by factors of
+    # exactly 2 chosen from residuals in abundance units, so the solves stay
+    # the same in other units
+    results, thresholds = _solve_in_two_units(monkeypatch, _r20_cube, k)
+    # lam/rho is the same in both units, so a second value is a penalty change
+    assert len(thresholds) > 1
+    assert results[1][2:] == results[0][2:]
+    assert results[1] == results[0]
+
+
+def test_penalty_balancing_is_periodic_and_bounded(monkeypatch):
+    h = _r20_cube()
+    thresholds = _z_steps(monkeypatch)
+    solve_sunsal_sparse(h, 1e-3)
+    # 471 iterations; at the fixed penalty 2 s_min s_max it took 961, and
+    # balanced without dividing the scaled dual by the factor 1012
+    assert len(thresholds) < 700
+    changes = _penalty_changes(thresholds)
+    assert 1 < len(changes) <= 50
+    # a penalty set at the end of iteration 10 n is first read by the z-step
+    # of iteration 10 n + 1, the one at index 10 n
+    assert all(i % 10 == 0 for i in changes)
+    assert set(changes.values()) <= {0.5, 2.0}
+    # allowed two changes, the same solve makes its first two and no more
+    monkeypatch.setattr(baselines, "_BALANCE_MAX_CHANGES", 2)
+    thresholds.clear()
+    solve_sunsal_sparse(h, 1e-3)
+    assert _penalty_changes(thresholds) == {i: changes[i] for i in sorted(changes)[:2]}
 
 
 def test_percent_reflectance_cube_solves_within_the_cap():
@@ -390,14 +454,33 @@ def test_sparse_solve_of_a_huge_but_finite_cube_stays_finite(monkeypatch):
     M = np.abs(rng.standard_normal((20, 3)))
     X = rng.dirichlet(np.ones(3), size=5).T
     h = validate_problem(M @ X * 1e306, M)
-    calls = _count_iterations(monkeypatch)
-    with np.errstate(over="ignore"):
-        out = solve_sunsal_sparse(h, 1e-3).data
-    assert np.isfinite(out).all()
-    assert out.min() >= 0.0
-    # relaxed throughout, X - Z would stay near 1e290 and the solve would run
-    # to the cap; the unrelaxed fallback stops it within a few dozen
-    assert calls[0] <= 30
+    thresholds = _z_steps(monkeypatch)
+    finite_norms = []
+    real_dot = baselines._dot
+
+    def norms_spy(*args, **kwargs):
+        squares = real_dot(*args, **kwargs)
+        finite_norms.append(bool(np.isfinite(squares).all()))
+        return squares
+
+    monkeypatch.setattr(baselines, "_dot", norms_spy)
+    # the solve ends before its 10th iteration, so it is also run balancing
+    # on every iteration, which would halve rho on the inf dual residual
+    for period in (10, 1):
+        monkeypatch.setattr(baselines, "_BALANCE_PERIOD", period)
+        thresholds.clear()
+        finite_norms.clear()
+        with np.errstate(over="ignore"):
+            out = solve_sunsal_sparse(h, 1e-3).data
+        assert np.isfinite(out).all()
+        assert out.min() >= 0.0
+        # relaxed throughout, X - Z would stay near 1e290 and the solve would
+        # run to the cap; the unrelaxed fallback stops it within a few dozen
+        assert len(thresholds) <= 30
+        assert not all(finite_norms)
+        # no penalty change after an iteration whose norms are not finite
+        for i in _penalty_changes(thresholds):
+            assert finite_norms[i - 1]
 
 
 def _inject_at_the_z_step(monkeypatch, bad):

@@ -27,6 +27,12 @@ def test_defaults_table_states_the_library_constants():
             f"sqrt(R*T) * {_g(baselines._BASELINE_TOL)} / "
             f"{baselines._BASELINE_MAX_ITERS:,} iterations"
         ),
+        "baseline ADMM penalty (`solve_fcls`, `solve_sunsal_sparse`)": (
+            f"starts at {_g(baselines._PENALTY_SCALE)} * 2 * s_min * s_max of M (extreme "
+            f"singular values); balanced every {baselines._BALANCE_PERIOD}th iteration, at most "
+            f"{baselines._BALANCE_MAX_CHANGES} times: doubled when the primal residual norm "
+            f"exceeds {_g(baselines._BALANCE_RATIO)}x the dual's, halved in the opposite case"
+        ),
         "baseline over-relaxation": f"{_g(baselines._RELAXATION)} (1 once a residual norm overflows)",
         "inner iterations (half-quadratic steps per x-update)": str(config.max_inner_iters),
         "outer iterations": str(config.max_outer_iters),
