@@ -2,13 +2,16 @@
 and l1-regularized nonnegative least squares.
 
 The constrained problems are solved per pixel by ADMM with a closed-form
-quadratic update: K = 2 M'M + rho I is Cholesky-factored and inverted once
-per penalty, and every iteration applies the R x R inverse to all pixels in
-one product (the per-pixel solves are independent). Both problems share one
-z-step, max(v - lam/rho, 0): soft thresholding followed by projection onto
-the first orthant, a plain projection at the fully-constrained problem's lam = 0. The
-QR of M and the factor of K come from numpy.linalg, so the package needs no
-SciPy. The loop re-validates nothing per iteration: it writes into
+quadratic update, set up from one thin SVD of M = Q diag(s) V': the inverse
+of K = 2 M'M + rho I is V diag(1 / (2 s^2 + rho)) V' at every penalty, the
+data term 2 M'Y is V diag(2 s) Q'Y, the starting penalty is read off s, and
+the loop starts from the least-squares abundances V diag(1/s) Q'Y clipped at 0.
+Every iteration applies the R x R inverse to all pixels in one product (the
+per-pixel solves are independent). Both problems share one z-step,
+max(v - lam/rho, 0): soft thresholding followed by projection onto the first
+orthant, a plain projection at the fully-constrained problem's lam = 0. The
+SVD, and the QR of M in solve_ls, come from numpy.linalg, so the package
+needs no SciPy. The loop re-validates nothing per iteration: it writes into
 preallocated buffers, the z-step works in place, and the iterates are checked
 for non-finite entries only when a residual norm is not finite. The fully
 constrained problem's sum-to-one constraint enters through the same x-update:
@@ -59,7 +62,6 @@ from .core import (
     _project_columns_to_simplex,
     _real,
     _shrink_nonnegative,
-    project_nonnegative,
 )
 
 # Residual tolerance (per coordinate, in abundance units, for both the primal
@@ -118,32 +120,16 @@ def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
     return AbundanceMatrix(X)
 
 
-def _default_rho(M: np.ndarray) -> float:
-    # 2 s_min s_max, the geometric mean of the extreme eigenvalues of 2 M'M,
-    # is the best fixed penalty of unrelaxed ADMM on a strongly convex
-    # quadratic (Ghadimi, Teixeira, Shames & Johansson, IEEE TAC 2015); the
-    # mean eigenvalue stalls at the iteration cap on ill-conditioned M. The
-    # over-relaxed loop starts at _PENALTY_SCALE times it and balances the
-    # penalty from there (see _admm).
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(2.0 * s.min() * s.max())
-
-
-def _x_update_terms(MtM2, MtY2, rho: float, lam: float, sum_to_one: bool):
+def _x_update_terms(V, s2x2, MtY2, rho: float, lam: float, sum_to_one: bool):
     """The x-update's terms at penalty rho: (rho K^-1, K^-1 2 M'y, lam/rho),
-    K = 2 M'M + rho I, with fcls's sum-to-one correction folded into the
-    first two."""
-    R = MtM2.shape[0]
-    # K = C C' has a Cholesky factor C exactly when it is positive definite.
-    # One product with K^-1 = inv(C)' inv(C) per iteration is much cheaper
-    # than a Cholesky solve with T right-hand sides. cond(K) is within about
-    # 3 cond(M) at the starting penalty, smaller at a larger rho and at most
-    # cond(M'M), so the explicit inverse loses nothing at _BASELINE_TOL.
-    try:
-        Cinv = np.linalg.inv(np.linalg.cholesky(MtM2 + rho * np.eye(R)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquations(str(exc)) from exc
-    Kinv = Cinv.T @ Cinv
+    K = 2 M'M + rho I, from M's right singular vectors V and 2 s^2, with
+    fcls's sum-to-one correction folded into the first two."""
+    R = V.shape[0]
+    # K = V diag(2 s^2 + rho) V' is inverted in closed form: no factor of a
+    # formed 2 M'M, whose rounding is cond(M)^2 times larger than M's. One
+    # product with K^-1 per iteration is much cheaper than a solve with T
+    # right-hand sides.
+    Kinv = (V / (s2x2 + rho)) @ V.T
     Kinv_MtY2 = Kinv @ MtY2
     rho_Kinv = rho * Kinv
     if sum_to_one:
@@ -193,18 +179,31 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     abundance units and the factor is exactly 2, so rescaling Y and M by a
     power of two (and lam by its square) still gives the same iterations and
     bit-identical abundances. An iteration whose norms are not finite does
-    not balance. Z starts at the clipped least-squares abundances of the
-    handle. Returns the last (X, Z) iterates and whether the residuals fell
-    below tolerance before the cap. Raises NonFiniteIterate when an iterate
-    has a non-finite entry.
-    """
-    M, Y = handle.M, handle.Y
-    R, T = handle.R, handle.T
-    MtM2, MtY2 = 2.0 * (M.T @ M), 2.0 * (M.T @ Y)
-    rho = _PENALTY_SCALE * _default_rho(M)
-    rho_Kinv, Kinv_MtY2, b = _x_update_terms(MtM2, MtY2, rho, lam, sum_to_one)
+    not balance.
 
-    Z = project_nonnegative(handle.least_squares)
+    The set-up takes one thin SVD of M = Q diag(s) V' and raises
+    SingularNormalEquations when s_min <= 1e-13 s_max, solve_ls's threshold
+    on the diagonal of M's QR factor. Z starts at the clipped least-squares
+    abundances max(V diag(1/s) Q'Y, 0); the normal equations would give them
+    with cond(M)^2 in place of cond(M). Returns the last (X, Z) iterates and
+    whether the residuals fell below tolerance before the cap. Raises
+    NonFiniteIterate when an iterate has a non-finite entry.
+    """
+    R, T = handle.R, handle.T
+    Q, s, Vt = np.linalg.svd(handle.M, full_matrices=False)
+    if s[-1] <= 1e-13 * s[0]:
+        raise SingularNormalEquations("M'M is numerically singular")
+    V = Vt.T
+    QtY = Q.T @ handle.Y
+    MtY2, s2x2 = (V * (2.0 * s)) @ QtY, 2.0 * s * s
+    # 2 s_min s_max, the geometric mean of the extreme eigenvalues of 2 M'M,
+    # is the best fixed penalty of unrelaxed ADMM on a strongly convex
+    # quadratic (Ghadimi, Teixeira, Shames & Johansson, IEEE TAC 2015); the
+    # mean eigenvalue stalls at the iteration cap on ill-conditioned M
+    rho = _PENALTY_SCALE * float(2.0 * s[-1] * s[0])
+    rho_Kinv, Kinv_MtY2, b = _x_update_terms(V, s2x2, MtY2, rho, lam, sum_to_one)
+
+    Z = np.maximum((V / s) @ QtY, 0.0)
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
     # next Z (the previous Z's buffer takes its place), S = D[0] for Z + U,
@@ -252,7 +251,7 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
                 continue
             rho *= factor
             U /= factor
-            rho_Kinv, Kinv_MtY2, b = _x_update_terms(MtM2, MtY2, rho, lam, sum_to_one)
+            rho_Kinv, Kinv_MtY2, b = _x_update_terms(V, s2x2, MtY2, rho, lam, sum_to_one)
             changes += 1
     return X, Z, False
 

@@ -300,7 +300,8 @@ class ProblemHandle:
 
     It also holds the problem's one least-squares fit: least_squares and
     ls_residual are computed the first time they are read and kept, so every
-    solve on the handle shares them.
+    solve on the handle that reads them shares them. The baseline ADMM loop
+    does not: it starts from the least-squares solution of its own SVD of M.
     """
 
     Y: np.ndarray

@@ -482,12 +482,13 @@ def _run_cusal_sp(handle: ProblemHandle, config: SolverConfig, sigma: float, X0,
 # Each problem's runner, its default warm start, and its best feasible fit.
 # The fc start is the handle's least-squares abundances projected onto the
 # simplex. The sp start is the nonnegative least-squares fit, its ADMM started
-# from them: feasible, and its residual stays on the least-squares
-# scale, which keeps the kernel weights alive at the data-driven starting
-# bandwidth. Clipping the plain LS solution can land far outside the kernel
-# width when the endmembers are strongly correlated. The best feasible fit
-# minimizes the residual over the problem's feasible set (the simplex for fc,
-# the first orthant for sp), so no result of the problem reconstructs better.
+# from the clipped least-squares abundances: feasible, and its residual stays
+# on the least-squares scale, which keeps the kernel weights alive at the
+# data-driven starting bandwidth. Clipping the plain LS solution can land far
+# outside the kernel width when the endmembers are strongly correlated. The
+# best feasible fit minimizes the residual over the problem's feasible set
+# (the simplex for fc, the first orthant for sp), so no result of the problem
+# reconstructs better.
 _PROBLEMS = {
     "fc": (
         _run_cusal_fc,

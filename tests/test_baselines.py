@@ -7,6 +7,7 @@ from unmix import (
     InvalidInput,
     MaxItersWarning,
     NonFiniteIterate,
+    RankDeficiencyWarning,
     SingularNormalEquations,
     SolverConfig,
     SyntheticSpec,
@@ -247,6 +248,51 @@ def test_duplicated_endmember_raises(solve):
         h = validate_problem(rng.uniform(size=(10, 3)), np.hstack([m, m, rng.uniform(size=(10, 1))]))
     with pytest.raises(SingularNormalEquations):
         solve(h)
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_fcls, lambda h: solve_sunsal_sparse(h, 0.0)], ids=["fcls", "sunsal-sparse"]
+)
+@pytest.mark.parametrize("eps, solves", [(1e-12, True), (1e-13, False)], ids=["solves", "raises"])
+def test_near_collinear_endmembers_solve_or_raise_at_the_qr_threshold(solve, eps, solves):
+    # the third column is the first plus eps d: s_min / s_max of M is about
+    # 2.8e-13 at eps 1e-12 and 2.8e-14 at eps 1e-13, on either side of the
+    # 1e-13 that solve_ls applies to the diagonal of M's QR factor
+    rng = np.random.default_rng(0)
+    base, d = rng.uniform(size=(40, 2)), rng.uniform(size=40)
+    M = np.column_stack([base, base[:, 0] + eps * d])
+    s = np.linalg.svd(M, compute_uv=False)
+    assert 2e-13 < s[-1] / s[0] / (eps / 1e-12) < 4e-13
+    with pytest.warns(RankDeficiencyWarning):
+        h = validate_problem(M @ rng.dirichlet(np.ones(3), size=12).T, M)
+    if not solves:
+        with pytest.raises(SingularNormalEquations):
+            solve(h)
+        return
+    # whether this ill-posed solve converges or runs to its cap depends on
+    # the BLAS's rounding, so the cap's warning is allowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MaxItersWarning)
+        X = solve(h).data
+    assert np.isfinite(X).all()
+
+
+def test_baselines_fit_no_least_squares(monkeypatch, rng):
+    # the ADMM set-up takes its own start from its SVD of M, so it neither
+    # calls solve_ls nor fills the handle's cached least-squares fit
+    ls_calls = []
+    real_ls = baselines.solve_ls
+
+    def counted_ls(*args, **kwargs):
+        ls_calls.append(1)
+        return real_ls(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "solve_ls", counted_ls)
+    for solve in (solve_fcls, lambda h: solve_sunsal_sparse(h, 1e-3)):
+        h, M, X, Y = random_problem(rng, L=20, R=3, T=12)
+        solve(h)
+        assert ls_calls == []
+        assert "least_squares" not in h.__dict__
 
 
 def test_cusal_large_sigma_consistency_small(rng):

@@ -307,6 +307,20 @@ class TestUnmixCommands:
         lines = (tmp_path / "report.tsv").read_text().splitlines()
         assert f"# reconstruction_ratio {format_float(expected)}" in lines
 
+    def test_fcls_fits_no_least_squares(self, small_cube, tmp_path, monkeypatch):
+        ls_calls = []
+        real_ls = baselines.solve_ls
+
+        def counted_ls(*args, **kwargs):
+            ls_calls.append(1)
+            return real_ls(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "solve_ls", counted_ls)
+        code = run_cli("fcls", small_cube / "Y.txt", small_cube / "M.txt", "--out", tmp_path / "X.txt")
+        assert code == EXIT_OK
+        # the baseline ADMM starts from the least-squares fit of its own SVD
+        assert ls_calls == []
+
     @pytest.mark.parametrize("sigma", [["--sigma", "0.1"], ["--sigma-auto"]], ids=["fixed", "tuned"])
     def test_cusal_sp_solve_and_report_fit_least_squares_once(
         self, small_cube, tmp_path, monkeypatch, sigma
@@ -324,16 +338,15 @@ class TestUnmixCommands:
             "--out", tmp_path / "X.txt", "--report-path", tmp_path / "report.tsv",
         )
         assert code == EXIT_OK
-        # the NNLS warm start starts from that fit, and the report's
-        # reconstruction ratio takes its residual
+        # the report's reconstruction ratio takes its residual; the NNLS warm
+        # start fits none, its ADMM starting from its own SVD of M
         assert len(ls_calls) == 1
         monkeypatch.setattr(baselines, "solve_ls", real_ls)
         h = validate_problem(read_matrix(small_cube / "Y.txt"), read_matrix(small_cube / "M.txt"))
         expected = solvers.reconstruction_ratio(h, read_matrix(tmp_path / "X.txt"))
         lines = (tmp_path / "report.tsv").read_text().splitlines()
         assert f"# reconstruction_ratio {format_float(expected)}" in lines
-        # started from the fit the solve already has, the warm start is still
-        # the NNLS baseline bit for bit
+        # the warm start is the NNLS baseline bit for bit
         starts = []
         real_run = solvers._run_cusal_sp
 
