@@ -4,17 +4,22 @@ Matrix container: first line `UNMIX-MATRIX v1 <rows> <cols>`, then one row per
 line with space-separated decimal or scientific values; blank lines and lines
 whose first non-blank character is `#` are ignored anywhere in the file.
 Values are written with 17 significant digits so a write/read round trip is
-exact for float64.
+exact for float64; an empty or non-finite matrix is refused before its file is
+opened, since the reader would refuse it. The reader parses the body in one
+pass of numpy's C text reader. Only when that pass fails (a bad or non-finite
+token, ragged rows, a token only float() reads) is the body walked again line
+by line, which names the culprit and reads the file as float() reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .core import UnmixError
+from .core import NonFiniteData, UnmixError
 
 MAGIC = "UNMIX-MATRIX v1"
 
@@ -38,6 +43,10 @@ def write_matrix(path, matrix) -> None:
     if arr.ndim != 2:
         raise ShapeMismatch("only 2-D matrices can be written")
     rows, cols = arr.shape
+    if rows < 1 or cols < 1:
+        raise ShapeMismatch(f"{path}: shape must be positive, got {rows} x {cols}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteData(f"{path}: matrix contains non-finite entries")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC} {rows} {cols}\n")
         np.savetxt(fh, arr, fmt="%.17g")
@@ -58,24 +67,52 @@ def read_matrix(path) -> np.ndarray:
             raise BadMagic(f"{path}: non-integer shape in header") from None
         if rows < 1 or cols < 1:
             raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
-        # numpy converts each token with float(); a line it rejects, or one
-        # with a non-finite value, is walked token by token to name the culprit
-        body = [np.empty(0)]
-        for lineno, stripped in entries:
-            tokens = stripped.split()
-            try:
-                row = np.array(tokens, dtype=float)
-            except ValueError:
-                row = None
-            if row is None or not np.isfinite(row).all():
-                row = np.array([_parse_value(tok, lineno) for tok in tokens])
-            body.append(row)
-    values = np.concatenate(body)
+        # one pass of numpy's C reader over the body; a body it rejects, or
+        # one with a non-finite value, is read again from the top by the line
+        # walk, which names the culprit
+        values = _read_body(entries)
+        if values is None:
+            fh.seek(0)
+            entries = _content_lines(fh)
+            next(entries)
+            values = _walk_body(entries)
     if values.size != rows * cols:
         raise ShapeMismatch(
             f"{path}: header promises {rows * cols} values, found {values.size}"
         )
     return values.reshape(rows, cols)
+
+
+def _read_body(entries) -> Optional[np.ndarray]:
+    """The body's values in file order, or None when numpy's C reader rejects
+    a line (a token it cannot convert, a row of another length) or reads a
+    non-finite value. The lines stream in, so the text is never held whole."""
+    first = next(entries, None)
+    if first is None:  # loadtxt warns on an empty input
+        return np.empty(0)
+    lines = (text for _, text in itertools.chain([first], entries))
+    try:
+        values = np.loadtxt(lines, dtype=float, comments=None, ndmin=1).ravel()
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _walk_body(entries) -> np.ndarray:
+    """The body's values line by line. numpy converts each line's tokens; a
+    line it rejects, or one with a non-finite value, goes token by token
+    through float() to name the culprit. Rows may differ in length."""
+    body = [np.empty(0)]
+    for lineno, stripped in entries:
+        tokens = stripped.split()
+        try:
+            row = np.array(tokens, dtype=float)
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            row = np.array([_parse_value(tok, lineno) for tok in tokens])
+        body.append(row)
+    return np.concatenate(body)
 
 
 def _content_lines(fh):

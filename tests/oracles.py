@@ -2,15 +2,18 @@
 
 Everything here is deliberately brute force and kept apart from the library's
 own numerics: central finite differences for gradients, exhaustive active-set
-enumeration for the tiny constrained quadratic problems, and direct KKT
-residuals.
+enumeration for the tiny constrained quadratic problems, direct KKT
+residuals, and a matrix-file reader that converts one token at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from unmix.fileio import MAGIC, BadMagic, ParseError, ShapeMismatch
 
 
 def central_difference_gradient(fn, x0: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -125,3 +128,37 @@ def project_simplex_reference(v: np.ndarray) -> np.ndarray:
     k = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
     theta = (css[k] - 1.0) / (k + 1.0)
     return np.maximum(v - theta, 0.0)
+
+
+def read_matrix_per_token(path) -> np.ndarray:
+    """The matrix container read the plain way: the whole text split with
+    str.splitlines, blank and `#` lines dropped, every body token converted
+    by float(); raises what fileio.read_matrix raises, with its messages."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    content = [(n, line.strip()) for n, line in enumerate(lines, start=1)]
+    content = [(n, text) for n, text in content if text and not text.startswith("#")]
+    if not content:
+        raise BadMagic(f"{path}: empty file")
+    parts = content[0][1].split()
+    if len(parts) != 4 or " ".join(parts[:2]) != MAGIC:
+        raise BadMagic(f"{path}: expected header '{MAGIC} <rows> <cols>'")
+    try:
+        rows, cols = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise BadMagic(f"{path}: non-integer shape in header") from None
+    if rows < 1 or cols < 1:
+        raise BadMagic(f"{path}: shape must be positive, got {rows} x {cols}")
+    values = []
+    for lineno, text in content[1:]:
+        for tok in text.split():
+            try:
+                v = float(tok)
+            except ValueError:
+                raise ParseError(f"bad value {tok!r}", line=lineno) from None
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {tok!r}", line=lineno)
+            values.append(v)
+    if len(values) != rows * cols:
+        raise ShapeMismatch(f"{path}: header promises {rows * cols} values, found {len(values)}")
+    return np.array(values, dtype=float).reshape(rows, cols)

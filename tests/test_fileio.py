@@ -1,8 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import read_matrix_per_token
 
+from unmix.core import NonFiniteData, UnmixError
 from unmix.experiment import DEFAULT_LAMBDA_GRID, parse_experiment_config
 from unmix.fileio import (
     BadMagic,
@@ -106,6 +111,152 @@ class TestMatrixFormat:
         assert str(err.value) == "line 6: bad value 'x'"
         path.write_bytes(text.replace("x", "4").encode("utf-8"))
         np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestMatrixWriteRefusals:
+    """write_matrix refuses what read_matrix would refuse, before the file is
+    opened: nothing is created and an existing file keeps its bytes."""
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_shape_refused(self, tmp_path, shape):
+        path = tmp_path / "e.txt"
+        with pytest.raises(ShapeMismatch, match="shape must be positive"):
+            write_matrix(path, np.zeros(shape))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [[[1.0, math.nan]], [[math.inf]], [[2.0], [-math.inf]]])
+    def test_non_finite_refused(self, tmp_path, matrix):
+        path = tmp_path / "n.txt"
+        with pytest.raises(NonFiniteData):
+            write_matrix(path, matrix)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [np.zeros((0, 3)), [[1.0, math.nan]], [[math.inf]]])
+    def test_existing_file_untouched(self, tmp_path, matrix):
+        path = tmp_path / "kept.txt"
+        write_matrix(path, np.eye(2))
+        before = path.read_bytes()
+        with pytest.raises(UnmixError):
+            write_matrix(path, matrix)
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(read_matrix(path), np.eye(2))
+
+
+def _outcome(read, path):
+    """The values' shape and bits, or the exception's type and message."""
+    try:
+        values = read(path)
+    except UnmixError as exc:
+        return type(exc), str(exc)
+    return values.shape, [v.hex() for v in values.ravel().tolist()]
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.79e308, -1.79e308, 1.7976931348623157e308]
+_written = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS)),
+)
+# tokens numpy's C reader converts, tokens only float() converts, tokens
+# nothing converts, and non-finite ones
+_FAST_TOKENS = ["0", "1", "-2.5", "1e-3", "2.5E+2", "+.5", "5.", "-0", "4.9e-324", "1.7976931348623157e308"]
+_FLOAT_ONLY_TOKENS = ["1_0", "\u0661\u0662", "\u0663.\u0665", "1_000.5"]
+_BAD_TOKENS = ["1x", "oops", "#", "0x10", "1__0", "--1", "1e", "'1'", "1,2", "1\x002"]
+_NON_FINITE_TOKENS = ["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e999"]
+_token = st.sampled_from(_FAST_TOKENS * 6 + _FLOAT_ONLY_TOKENS + _BAD_TOKENS + _NON_FINITE_TOKENS)
+_separator = st.sampled_from([" ", " ", "  ", "\t", "\x0b", "\xa0", "\x1f", "\u3000"])
+_padding = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def _value_line(draw):
+    tokens = draw(st.lists(_token, min_size=1, max_size=5))
+    text = tokens[0]
+    for tok in tokens[1:]:
+        text += draw(_separator) + tok
+    return draw(_padding) + text + draw(_padding), len(tokens)
+
+
+_other_line = st.sampled_from(["", "   ", "\t", "# note", "  # 1 2", "#", "\t#x"])
+
+
+@st.composite
+def _hand_written(draw):
+    """A header (exact, or any small shape) and a body of value lines mixed
+    with comments and blank lines, joined by assorted line boundaries."""
+    lines, count = [], 0
+    for line in draw(st.lists(st.one_of(_value_line(), _other_line), max_size=8)):
+        if isinstance(line, tuple):
+            lines.append(line[0])
+            count += line[1]
+        else:
+            lines.append(line)
+    if count and draw(st.booleans()):
+        header = f"UNMIX-MATRIX v1 1 {count}"
+    else:
+        header = f"UNMIX-MATRIX v1 {draw(st.integers(1, 4))} {draw(st.integers(1, 4))}"
+    lines.insert(0, header)
+    if draw(st.booleans()):
+        lines.insert(0, "# leading")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+class TestReaderAgainstOracle:
+    """read_matrix gives the same value bits, or the same exception type and
+    message (line number included), as a reader calling float() per token."""
+
+    @given(_written)
+    def test_written_matrices(self, oracle_dir, matrix):
+        path = oracle_dir / "written.txt"
+        write_matrix(path, matrix)
+        expected = _outcome(read_matrix_per_token, path)
+        assert expected == (matrix.shape, [v.hex() for v in matrix.ravel().tolist()])
+        assert _outcome(read_matrix, path) == expected
+
+    @given(_hand_written())
+    def test_hand_written_bodies(self, oracle_dir, text):
+        path = oracle_dir / "hand.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_matrix, path) == _outcome(read_matrix_per_token, path)
+
+
+class TestLineWalkFallback:
+    """Bodies the C reader rejects are walked line by line from the top."""
+
+    def test_header_only_file_found_zero_without_warning(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("UNMIX-MATRIX v1 2 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match="found 0"):
+                read_matrix(path)
+
+    def test_bad_token_on_last_of_many_rows_reports_its_line(self, tmp_path):
+        rows = ["1 2 3"] * 299 + ["4 x 6"]
+        path = tmp_path / "long.txt"
+        path.write_text("UNMIX-MATRIX v1 300 3\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line == 301
+        assert str(err.value) == "line 301: bad value 'x'"
+
+    def test_trailing_hash_is_a_bad_value_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.txt"
+        path.write_text("UNMIX-MATRIX v1 1 2\n1 2 # note\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == "line 2: bad value '#'"
+
+    def test_ragged_rows_read_when_the_count_matches(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("UNMIX-MATRIX v1 2 3\n1 2\n3 4 5\n6\n")
+        np.testing.assert_array_equal(read_matrix(path), [[1, 2, 3], [4, 5, 6]])
 
 
 class TestTruthMeta:
