@@ -41,7 +41,24 @@ Alternating Direction Method of Multipliers", 2011, section 3.4.3): the z-step
 and the dual update read alpha x + (1 - alpha) z in place of x. That takes
 about a third fewer iterations and leaves the fixed point, and so the
 solution, where it was. A solve whose residual norms overflow while its
-iterates stay finite goes on with alpha = 1.
+iterates stay finite goes on with alpha = 1; after 1000 such iterations
+it stops with NonFiniteIterate, since data that close to the float range
+have not met the tolerance by then and may never.
+
+The loop ends early by polishing its solution on the support (OSQP's
+solution polishing: Stellato, Banjac, Goulart, Bemporad & Boyd, Math. Prog.
+Comp. 2020, section 5.2; the active-set step of fast NNLS: Bro & De Jong,
+J. Chemometrics 1997). Each per-pixel problem is a quadratic program, and
+once the set of positive entries is known it is one linear solve. On every
+10th iteration, when Z's support is the one of the previous check (at the
+first, the start's), every pixel is solved on its support: one KKT matrix
+per distinct support pattern, of the support's size, and the matrices of one
+size inverted in batched calls. The result is returned when every pixel
+meets the KKT conditions, and the loop goes on otherwise. The support
+settles long before the residuals meet 1e-12: fcls on clean R = 5, L = 224,
+T = 2000 cubes took 53 to 67 iterations and is polished at 20 or 30, and
+NNLS on ten R = 20 cubes took 10 727 iterations in all and 2130 polished. A
+polished entry is exactly 0 off its pixel's support and positive on it.
 """
 
 from __future__ import annotations
@@ -84,6 +101,18 @@ _PENALTY_SCALE = 0.35
 _BALANCE_PERIOD = 10
 _BALANCE_MAX_CHANGES = 50
 _BALANCE_RATIO = 10.0
+# Solution polishing of the baseline ADMM loops (see _polish): a polished
+# solve is accepted when every pixel meets its KKT conditions to
+# _POLISH_TOL (gradients relative to max|2 M'Y|, column sums absolute), and
+# the KKT matrices are inverted and applied in stacks of at most
+# _POLISH_BLOCK entries.
+_POLISH_TOL = 1e-9
+_POLISH_BLOCK = 2**16
+# Iterations with overflowing residual norms after which a baseline solve
+# stops with NonFiniteIterate. The unrelaxed fallback ends solvable ones:
+# NNLS with Y scaled by 1e160 to 1e306 took up to 106 such iterations, and
+# fcls on Y = 1e160 M X 80; fcls at 1e200 to 1e306 never gets back.
+_MAX_OVERFLOWS = 1000
 
 
 def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
@@ -145,6 +174,103 @@ def _x_update_terms(V, s2x2, MtY2, rho: float, lam: float, sum_to_one: bool):
     return rho_Kinv, Kinv_MtY2, lam / rho
 
 
+def _support_groups(support):
+    """The distinct columns of an R x T boolean support, fewest entries first,
+    as (patterns, order, group): patterns is P x R, order lists the pixels
+    pattern by pattern, and pixel order[i] has pattern group[i]. Each column
+    is keyed by its entry count and by its bits packed into as many 64-bit
+    words as R needs, so any R is grouped exactly."""
+    R, T = support.shape
+    keys = np.empty((-(-R // 64) + 1, T), np.uint64)
+    for w in range(len(keys) - 1):
+        rows = support[64 * w : 64 * w + 64]
+        keys[w] = np.left_shift(np.uint64(1), np.arange(len(rows), dtype=np.uint64)) @ rows
+    # np.lexsort sorts by its last key first
+    keys[-1] = support.sum(axis=0)
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    first = np.ones(T, dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return support[:, order[first]].T, order, np.cumsum(first) - 1
+
+
+def _polish(H, MtY2, support, lam: float, sum_to_one: bool):
+    """Every pixel's exact minimizer on its support, or None when one of
+    them fails the KKT conditions.
+
+    H = 2 M'M and 2 M'y are the Hessian and the data term of the objective
+    ||y - M x||^2 + lam 1'x; with sum_to_one, lam is 0 and mu is the
+    multiplier of 1'x = 1. On a support S a pixel's solution solves
+    H_SS x_S (+ mu 1) = (2 M'y - lam)_S (and 1'x_S = 1), x = 0 off S. The
+    pixels are grouped by support pattern, and each pattern's KKT matrix is
+    H_SS, bordered for mu by c, the power of two just above max diag(H), so
+    that rescaling Y and M by a power of two rescales every matrix exactly
+    and LU pivots the same way. The patterns of one support size are
+    inverted together, in stacks of at most _POLISH_BLOCK entries, and each
+    stack's inverses are applied to its pixels at once: the temporaries are
+    a few R x T arrays and a few stacks, and no (T, R, R) stack of per-pixel
+    matrices is gathered.
+
+    The result is accepted when every entry is finite, every pixel is
+    strictly positive on its support, its gradient H x - 2 M'y + lam (+ mu)
+    is within +-tol on its support and at least -tol off it,
+    tol = _POLISH_TOL * max|2 M'Y|, and with sum_to_one its sum is within
+    _POLISH_TOL of 1: the per-pixel KKT conditions. Entries off the support
+    are exactly 0, so an accepted result is exactly nonnegative."""
+    R, T = support.shape
+    patterns, order, group = _support_groups(support)
+    # the pixels order[bounds[k] : bounds[k + 1]] have k-entry supports; an
+    # empty one leaves its pixel at 0, which fcls's sum check refuses
+    bounds = np.searchsorted(patterns.sum(axis=1)[group], np.arange(R + 2))
+    c = math.ldexp(1.0, math.frexp(float(np.diag(H).max()))[1])
+    X, mu = np.zeros((R, T)), np.zeros(T)
+    with np.errstate(all="ignore"):
+        for k in range(1, R + 1):
+            n = k + sum_to_one
+            step = max(1, _POLISH_BLOCK // (n * n))
+            for a in range(bounds[k], bounds[k + 1], step):
+                g = group[a : min(a + step, bounds[k + 1])]
+                cols = order[a : a + len(g)]
+                # each pattern's support rows, ascending
+                rows = np.nonzero(patterns[g[0] : g[-1] + 1])[1].reshape(-1, k)
+                A = np.zeros((len(rows), n, n))
+                A[:, :k, :k] = H[rows[:, :, None], rows[:, None, :]]
+                if sum_to_one:
+                    A[:, :k, k] = A[:, k, :k] = c
+                try:
+                    A_inv = np.linalg.inv(A)
+                except np.linalg.LinAlgError:
+                    return None
+                local = g - g[0]
+                # flat positions of each pixel's support entries in R x T
+                at = rows[local] * T + cols[:, None]
+                rhs = np.full((len(g), n), c)
+                rhs[:, :k] = np.take(MtY2, at) - lam
+                if len(A_inv) == 1:
+                    # one pattern, as every full support is: one product
+                    solution = rhs @ A_inv[0].T
+                else:
+                    solution = np.einsum("tij,tj->ti", A_inv[local], rhs)
+                np.put(X, at, solution[:, :k])
+                if sum_to_one:
+                    mu[cols] = solution[:, k]
+        gradient = H @ X
+        gradient -= MtY2
+        gradient += lam
+        if sum_to_one:
+            gradient += c * mu
+        tol = _POLISH_TOL * np.abs(MtY2).max()
+        accepted = (
+            np.isfinite(X).all()
+            and np.isfinite(mu).all()
+            and np.all(gradient >= -tol)
+            and np.all(gradient <= tol, where=support)
+            and np.all(X > 0.0, where=support)
+            and not (sum_to_one and np.abs(X.sum(axis=0) - 1.0).max() > _POLISH_TOL)
+        )
+    return X if accepted else None
+
+
 def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     """Per-pixel over-relaxed ADMM for min ||y - M x||^2 + lam ||z||_1
     subject to x = z >= 0.
@@ -168,7 +294,10 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     that text, rho (z+ - z), grows with the square of the data units through
     rho. When a norm overflows while the iterates are finite, the relaxed
     x - z+ stays as large as the iterates and would never meet that
-    tolerance, so the rest of the solve runs at alpha = 1.
+    tolerance, so the rest of the solve runs at alpha = 1. After
+    _MAX_OVERFLOWS iterations with overflowing norms the solve raises
+    NonFiniteIterate: the iterates are then too large for their rounding to
+    meet the tolerance.
 
     The penalty starts at _PENALTY_SCALE * 2 s_min s_max and is balanced
     (Boyd et al. 2011, section 3.4.1): every _BALANCE_PERIOD-th iteration,
@@ -181,13 +310,22 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     bit-identical abundances. An iteration whose norms are not finite does
     not balance.
 
+    On the same iterations, before balancing, the loop compares Z's support
+    (Z > 0) with the support at the previous such check, at the first with
+    the start's. When they are equal it polishes (_polish): it solves every
+    pixel's problem exactly on that support, with H = 2 M'M = V diag(2 s^2) V'
+    and 2 M'Y from the SVD, and returns the result as both X and Z when every
+    pixel meets the KKT conditions. A refused polish changes nothing, and the
+    loop goes on as before.
+
     The set-up takes one thin SVD of M = Q diag(s) V' and raises
     SingularNormalEquations when s_min <= 1e-13 s_max, solve_ls's threshold
     on the diagonal of M's QR factor. Z starts at the clipped least-squares
     abundances max(V diag(1/s) Q'Y, 0); the normal equations would give them
-    with cond(M)^2 in place of cond(M). Returns the last (X, Z) iterates and
-    whether the residuals fell below tolerance before the cap. Raises
-    NonFiniteIterate when an iterate has a non-finite entry.
+    with cond(M)^2 in place of cond(M). Returns the last (X, Z) iterates, or
+    the polished solution twice, and whether the solve converged (residuals
+    below tolerance or polished) before the cap. Raises NonFiniteIterate
+    when an iterate has a non-finite entry.
     """
     R, T = handle.R, handle.T
     Q, s, Vt = np.linalg.svd(handle.M, full_matrices=False)
@@ -202,8 +340,10 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     # mean eigenvalue stalls at the iteration cap on ill-conditioned M
     rho = _PENALTY_SCALE * float(2.0 * s[-1] * s[0])
     rho_Kinv, Kinv_MtY2, b = _x_update_terms(V, s2x2, MtY2, rho, lam, sum_to_one)
+    H = (V * s2x2) @ V.T
 
     Z = np.maximum((V / s) @ QtY, 0.0)
+    support = Z > 0.0
     U = np.zeros((R, T))
     # Each iteration writes into these buffers instead of allocating: X, the
     # next Z (the previous Z's buffer takes its place), S = D[0] for Z + U,
@@ -215,7 +355,7 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     S, S_dual = D
     alpha = _RELAXATION
     eps_stop = np.sqrt(R * T) * _BASELINE_TOL
-    changes = 0
+    changes = overflows = 0
     for it in range(1, _BASELINE_MAX_ITERS + 1):
         np.add(Z, U, out=S)
         np.matmul(rho_Kinv, S, out=X)
@@ -239,10 +379,23 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
             # only the unrelaxed loop meets the absolute tolerance
             if not (np.isfinite(X).all() and np.isfinite(Z).all()):
                 raise NonFiniteIterate("baseline ADMM produced a non-finite iterate")
+            overflows += 1
+            if overflows >= _MAX_OVERFLOWS:
+                raise NonFiniteIterate(
+                    f"baseline ADMM residual norms overflowed on {overflows} iterations: "
+                    "the data are too close to the float range"
+                )
             alpha = 1.0
         elif primal <= eps_stop and dual <= eps_stop:
             return X, Z, True
-        elif it % _BALANCE_PERIOD == 0 and changes < _BALANCE_MAX_CHANGES:
+        elif it % _BALANCE_PERIOD == 0:
+            previous, support = support, Z > 0.0
+            if np.array_equal(support, previous):
+                polished = _polish(H, MtY2, support, lam, sum_to_one)
+                if polished is not None:
+                    return polished, polished, True
+            if changes == _BALANCE_MAX_CHANGES:
+                continue
             if primal > _BALANCE_RATIO * dual:
                 factor = 2.0
             elif dual > _BALANCE_RATIO * primal:
@@ -262,10 +415,14 @@ def solve_fcls(handle: ProblemHandle) -> AbundanceMatrix:
     ADMM splitting: the quadratic-plus-sum-to-one update has a closed form,
     the unconstrained solve followed by one KKT correction, both folded into
     one affine map at set-up; nonnegativity enters through projection.
-    Returns the equality-exact iterate (column sums are 1 to rounding;
-    entries can undershoot 0 only by the final primal residual). At the
-    iteration cap that residual can exceed the feasibility tolerance, so the
-    iterate is projected column-wise onto the simplex instead.
+    Returns the polished solution when the support settles (entries exactly
+    0 off each pixel's support and positive on it, column sums 1 to
+    rounding), or else the equality-exact iterate (column sums are 1 to
+    rounding; entries can undershoot 0 only by the final primal residual).
+    At the iteration cap that residual can exceed the feasibility tolerance,
+    so the iterate is projected column-wise onto the simplex instead. Data
+    whose residual norms overflow for _MAX_OVERFLOWS iterations (Y = 1e200 M X
+    and beyond) raise NonFiniteIterate.
     """
     X, _, converged = _admm(handle, 0.0, sum_to_one=True)
     if not converged:

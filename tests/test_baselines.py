@@ -210,12 +210,14 @@ class TestSolveSunsalSparse:
     ids=["fcls", "sunsal-sparse"],
 )
 def test_capped_solve_returns_tagged_feasible_result(monkeypatch, solve, simplex):
-    # 20 iterations leave the equality-exact fcls iterate up to ~4e-6 below 0
+    # 5 iterations leave the equality-exact fcls iterate up to ~1.4e-4 below
+    # 0, and end before the first polish try at iteration 10 (both solves
+    # are polished there)
     M = gen_endmembers(3, 120, seed=0).data
     spec = SyntheticSpec(model="lmm", R=3, L=120, T=200, snr_db=30.0, n_corrupt=20, seed=1)
     Y, _ = gen_cube(M, spec)
     h = validate_problem(Y, M)
-    monkeypatch.setattr(baselines, "_BASELINE_MAX_ITERS", 20)
+    monkeypatch.setattr(baselines, "_BASELINE_MAX_ITERS", 5)
     with pytest.warns(MaxItersWarning):
         out = solve(h)
     assert out.tag == ("fully_constrained" if simplex else "nonnegative")
@@ -390,12 +392,9 @@ def _r20_cube(scale=1.0):
     return validate_problem(gen_cube(M, spec)[0].data * scale, M * scale)
 
 
-def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
-    # unrelaxed (alpha = 1) these took 99 / 41 / 91 iterations, relaxed with
-    # the dual residual measured as rho (z+ - z) 63 / 24 / 60, and relaxed at
-    # the fixed penalty 2 s_min s_max 54 / 20 / 48; the margin leaves room for
-    # another BLAS's rounding, not for any of those loops
-    h = _grid_cube()
+def _iteration_counts(monkeypatch, h):
+    """Baseline ADMM iterations of fcls and of the sparse solve at lam 0 and
+    1e-3 on h."""
     thresholds = _z_steps(monkeypatch)
     counts = {}
     for name, solve in [
@@ -406,7 +405,34 @@ def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
         thresholds.clear()
         solve(h)
         counts[name] = len(thresholds)
+    return counts
+
+
+def _refuse_polish(monkeypatch):
+    """Make every polish try fail, so the loop runs as it did before it."""
+    monkeypatch.setattr(baselines, "_polish", lambda *args: None)
+
+
+def test_relaxed_iteration_counts_on_the_clean_grid_cube(monkeypatch):
+    # the loop itself, polish refused: unrelaxed (alpha = 1) these took
+    # 99 / 41 / 91 iterations, relaxed with the dual residual measured as
+    # rho (z+ - z) 63 / 24 / 60, and relaxed at the fixed penalty
+    # 2 s_min s_max 54 / 20 / 48; the margin leaves room for another BLAS's
+    # rounding, not for any of those loops
+    _refuse_polish(monkeypatch)
+    counts = _iteration_counts(monkeypatch, _grid_cube())
     assert counts == pytest.approx({"fcls": 32, "sparse 0": 20, "sparse 1e-3": 22}, abs=2)
+
+
+def test_polished_iteration_counts(monkeypatch):
+    # the clean grid cube keeps its start's support, so all three end at the
+    # first try; the R = 20 cube's supports settle long before the residuals
+    # meet the tolerance (unpolished: 894 / 469 / 471 iterations). NNLS's
+    # support there is final from iteration 180 on, so another BLAS's
+    # rounding may move its try by one check
+    assert _iteration_counts(monkeypatch, _grid_cube()) == {"fcls": 10, "sparse 0": 10, "sparse 1e-3": 10}
+    counts = _iteration_counts(monkeypatch, _r20_cube())
+    assert counts == pytest.approx({"fcls": 190, "sparse 0": 190, "sparse 1e-3": 190}, abs=10)
 
 
 def _solve_in_two_units(monkeypatch, cube, k):
@@ -451,8 +477,9 @@ def test_penalty_balancing_is_periodic_and_bounded(monkeypatch):
     h = _r20_cube()
     thresholds = _z_steps(monkeypatch)
     solve_sunsal_sparse(h, 1e-3)
-    # 471 iterations; at the fixed penalty 2 s_min s_max it took 961, and
-    # balanced without dividing the scaled dual by the factor 1012
+    # 190 iterations, polished (471 unpolished); at the fixed penalty
+    # 2 s_min s_max it took 961, and balanced without dividing the scaled
+    # dual by the factor 1012
     assert len(thresholds) < 700
     changes = _penalty_changes(thresholds)
     assert 1 < len(changes) <= 50
@@ -555,3 +582,126 @@ def test_sparse_non_finite_iterate_raises(monkeypatch, rng, bad):
     _inject_at_the_z_step(monkeypatch, bad)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
         solve_sunsal_sparse(h, 1e-3)
+
+
+def test_fcls_on_data_near_the_float_range_fails_fast(monkeypatch):
+    # its residual norms overflow on every iteration and the iterates sit
+    # near 1e284 off the simplex: it used to run all 30,000 iterations and
+    # then fail the fully_constrained tag check
+    rng = np.random.default_rng(0)
+    M = np.abs(rng.standard_normal((20, 3)))
+    X = rng.dirichlet(np.ones(3), size=5).T
+    h = validate_problem(M @ X * 1e300, M)
+    thresholds = _z_steps(monkeypatch)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate, match="float range"):
+        solve_fcls(h)
+    assert len(thresholds) == baselines._MAX_OVERFLOWS <= 1000
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_sparse_solve_on_data_near_the_float_range_still_converges(monkeypatch, lam):
+    # Y alone x 1e300: the norms overflow on the first 56 iterations, and the
+    # unrelaxed loop then stops on small residuals at iteration 57
+    M = gen_endmembers(3, 60, seed=0).data
+    spec = SyntheticSpec(model="lmm", R=3, L=60, T=50, snr_db=30.0, n_corrupt=5, seed=1)
+    h = validate_problem(gen_cube(M, spec)[0].data * 1e300, M)
+    thresholds = _z_steps(monkeypatch)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", MaxItersWarning)
+        out = solve_sunsal_sparse(h, lam)
+    assert np.isfinite(out.data).all() and out.data.min() >= 0.0
+    assert 20 < len(thresholds) < baselines._MAX_OVERFLOWS
+
+
+def _kkt_terms(h):
+    """2 M'M and 2 M'Y, as the baseline ADMM's set-up forms them."""
+    Q, s, Vt = np.linalg.svd(h.M, full_matrices=False)
+    return (Vt.T * (2.0 * s * s)) @ Vt, (Vt.T * (2.0 * s)) @ (Q.T @ h.Y)
+
+
+@pytest.mark.parametrize(
+    "lam, sum_to_one", [(0.0, False), (1e-3, False), (0.0, True)], ids=["nnls", "l1", "fcls"]
+)
+def test_polish_solves_on_the_right_support_and_refuses_a_wrong_one(monkeypatch, lam, sum_to_one):
+    h = _grid_cube(n_corrupt=20)
+    _refuse_polish(monkeypatch)
+    X = (solve_fcls(h) if sum_to_one else solve_sunsal_sparse(h, lam)).data
+    monkeypatch.undo()
+    H, MtY2 = _kkt_terms(h)
+    support = X > 0.0
+    polished = baselines._polish(H, MtY2, support, lam, sum_to_one)
+    np.testing.assert_allclose(polished, X, rtol=0, atol=1e-9)
+    assert polished.min() == 0.0 and np.array_equal(polished > 0.0, support)
+    # a pixel with one entry dropped from its support is positive on the rest
+    # but violates the gradient condition there; with an entry added, its
+    # solution goes negative there
+    t = int(np.flatnonzero((X.max(axis=0) > 0.05) & ~support.all(axis=0))[0])
+    for j in (int(np.argmax(X[:, t])), int(np.argmin(X[:, t]))):
+        wrong = support.copy()
+        wrong[j, t] = not wrong[j, t]
+        assert baselines._polish(H, MtY2, wrong, lam, sum_to_one) is None
+
+
+@pytest.mark.parametrize("solve", [solve_fcls, lambda h: solve_sunsal_sparse(h, 1e-3)], ids=["fcls", "l1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_polish_is_never_accepted(monkeypatch, solve, bad):
+    # every polish then solves into non-finite entries: the solve goes on as
+    # if polishing were refused, to the same bits
+    h = _grid_cube(n_corrupt=20)
+    _refuse_polish(monkeypatch)
+    expected = solve(h).data
+    monkeypatch.undo()
+    thresholds = _z_steps(monkeypatch)
+    monkeypatch.setattr(np.linalg, "inv", lambda A: np.full_like(A, bad))
+    got = solve(h).data
+    assert got.tobytes() == expected.tobytes()
+    assert len(thresholds) > 10
+
+
+def test_support_groups_are_exact_beyond_64_endmembers():
+    # pixels 2k and 2k + 1 have as many entries and differ only past the
+    # 64th endmember, so a code of one 64-bit word and the count would put
+    # them in one group; the last pixel's support is empty
+    R, T = 70, 9
+    rng = np.random.default_rng(3)
+    support = rng.random((R, T)) < 0.3
+    support[64:] = False
+    support[:, 1:-1:2] = support[:, :-1:2]
+    for k, (i, j) in enumerate([(64, 65), (66, 67), (68, 69), (69, 64)]):
+        support[i, 2 * k] = support[j, 2 * k + 1] = True
+    support[:, -1] = False
+    patterns, order, group = baselines._support_groups(support)
+    assert len(patterns) == T and group.tolist() == list(range(T))
+    assert np.array_equal(support[:, order], patterns[group].T)
+    assert np.all(np.diff(patterns.sum(axis=1)) >= 0)
+    # the polish solves each pixel on its own support: with 2 M'Y built so that
+    # x_true meets the KKT conditions there, it returns x_true
+    A = rng.standard_normal((2 * R, R))
+    H = 2.0 * A.T @ A
+    x_true = np.where(support, rng.uniform(0.5, 1.5, size=(R, T)), 0.0)
+    MtY2 = H @ x_true - np.where(support, 0.0, rng.uniform(0.1, 1.0, size=(R, T)))
+    polished = baselines._polish(H, MtY2, support, 0.0, False)
+    np.testing.assert_allclose(polished, x_true, rtol=0, atol=1e-9)
+
+
+def test_polish_temporaries_stay_linear_in_the_pixels():
+    # nearly every pixel has its own 10-entry support, so the patterns' KKT
+    # matrices, or one gathered per pixel, would take about T 11^2 floats:
+    # 6 R x T arrays each
+    import tracemalloc
+
+    R, T = 20, 8000
+    rng = np.random.default_rng(5)
+    support = np.argsort(rng.random((R, T)), axis=0) < 10
+    A = rng.standard_normal((2 * R, R))
+    H = 2.0 * A.T @ A
+    MtY2 = rng.standard_normal((R, T))
+    tracemalloc.start()
+    try:
+        baselines._polish(H, MtY2, support, 0.0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(baselines._support_groups(support)[0]) > 0.97 * T
+    # about 3 R x T arrays and 4 stacks here (5.2 MB); unblocked, 27.8 MB
+    assert peak < 4 * R * T * 8 + 4 * 8 * baselines._POLISH_BLOCK

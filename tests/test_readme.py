@@ -34,6 +34,12 @@ def test_defaults_table_states_the_library_constants():
             f"exceeds {_g(baselines._BALANCE_RATIO)}x the dual's, halved in the opposite case"
         ),
         "baseline over-relaxation": f"{_g(baselines._RELAXATION)} (1 once a residual norm overflows)",
+        "baseline polish": (
+            f"tried every {baselines._BALANCE_PERIOD}th iteration when the support of z is "
+            "unchanged since the previous check; accepted when every pixel meets its KKT "
+            f"conditions to {_g(baselines._POLISH_TOL)} (gradients relative to the largest "
+            "magnitude in 2 M'Y)"
+        ),
         "inner iterations (half-quadratic steps per x-update)": str(config.max_inner_iters),
         "outer iterations": str(config.max_outer_iters),
         "residual thresholds": f"sqrt(R*T) * {_g(config.eps_primal)}, primal and dual",
