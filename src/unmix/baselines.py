@@ -1,21 +1,22 @@
 """Quadratic baselines: plain least squares, fully-constrained least squares,
 and l1-regularized nonnegative least squares.
 
-The constrained problems are solved per pixel by ADMM with a closed-form
-quadratic update, set up from one thin SVD of M = Q diag(s) V': the inverse
-of K = 2 M'M + rho I is V diag(1 / (2 s^2 + rho)) V' at every penalty, the
-data term 2 M'Y is V diag(2 s) Q'Y, the starting penalty is read off s, and
-the loop starts from the least-squares abundances V diag(1/s) Q'Y clipped at 0.
+All three read the problem handle's thin SVD of M = Q diag(s) V', from
+numpy.linalg (the package needs no SciPy), and raise SingularNormalEquations
+when s_min <= 1e-13 s_max. Least squares is V diag(1/s) Q'Y. The constrained
+problems are solved per pixel by ADMM with a closed-form quadratic update:
+the inverse of K = 2 M'M + rho I is V diag(1 / (2 s^2 + rho)) V' at every
+penalty, the data term 2 M'Y is V diag(2 s) Q'Y, the starting penalty is read
+off s, and the loop starts from the least-squares abundances clipped at 0.
 Every iteration applies the R x R inverse to all pixels in one product (the
 per-pixel solves are independent). Both problems share one z-step,
 max(v - lam/rho, 0): soft thresholding followed by projection onto the first
 orthant, a plain projection at the fully-constrained problem's lam = 0. The
-SVD, and the QR of M in solve_ls, come from numpy.linalg, so the package
-needs no SciPy. The loop re-validates nothing per iteration: it writes into
-preallocated buffers, the z-step works in place, and the iterates are checked
-for non-finite entries only when a residual norm is not finite. The fully
-constrained problem's sum-to-one constraint enters through the same x-update:
-its KKT correction is affine, so it is folded into the update's two terms at
+loop re-validates nothing per iteration: it writes into preallocated buffers,
+the z-step works in place, and the iterates are checked for non-finite
+entries only when a residual norm is not finite. The fully constrained
+problem's sum-to-one constraint enters through the same x-update: its KKT
+correction is affine, so it is folded into the update's two terms at
 set-up, and both problems run one loop body.
 
 The loop stops on the primal residual x - z and the dual residual z_next - z,
@@ -26,14 +27,10 @@ reflectance or sensor counts converge as reflectances do.
 
 The penalty rho starts at 0.35 times 2 s_min s_max of M (its extreme
 singular values), the fixed penalty that suits the unrelaxed loop, and is
-then balanced (Boyd et al. 2011, section 3.4.1): every 10th iteration, at
-most 50 times per solve, it doubles when the primal residual's norm exceeds
-10 times the dual's and halves in the opposite case, and the x-update's
-matrices are rebuilt. The smaller start takes about half the iterations on
-well-conditioned R = 3 to 5 cubes; balancing raises it on ill-conditioned
-R = 20 ones, where it alone would take about three times as many. The
-factors are exact powers of two and both residuals are in abundance units,
-so the data units still change nothing.
+then balanced by powers of two (Boyd et al. 2011, section 3.4.1; see _admm).
+The smaller start takes about half the iterations on well-conditioned R = 3
+to 5 cubes; balancing raises it on ill-conditioned R = 20 ones, where it
+alone would take about three times as many.
 
 The loop is over-relaxed with alpha = 1.5 (Eckstein & Bertsekas, Math. Prog.
 1992; Boyd et al., "Distributed Optimization and Statistical Learning via the
@@ -115,37 +112,38 @@ _POLISH_BLOCK = 2**16
 _MAX_OVERFLOWS = 1000
 
 
-def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
-    """Unconstrained least-squares abundances via an economy QR of M.
-
-    Q'Y is summed band by band in a fixed order, each band's product added to
-    X in place from a buffer of at most max(2**16, R*T) products, and the
-    triangular system is back-substituted one whole row of X at a time. Both
-    are element-wise array operations, so every pixel goes through the same
-    sequence of floating-point operations whatever the number of pixels:
-    solving the matrix problem and solving pixel by pixel give bit-identical
-    results. A reduction over the bands would not: numpy sums rows of one
-    entry (R*T = 1) pairwise.
-    """
-    Q, Rfac = np.linalg.qr(handle.M, mode="reduced")
-    diag = np.abs(np.diag(Rfac))
-    if diag.min() <= diag.max() * 1e-13:
+def _svd(handle: ProblemHandle):
+    """The handle's SVD of M, (Q, s, V'), unless s_min <= 1e-13 s_max."""
+    Q, s, Vt = handle.svd
+    if s[-1] <= 1e-13 * s[0]:
         raise SingularNormalEquations("M'M is numerically singular")
+    return Q, s, Vt
+
+
+def solve_ls(handle: ProblemHandle) -> AbundanceMatrix:
+    """Unconstrained least-squares abundances V diag(1/s) Q'Y (see _svd).
+
+    Q'Y is summed band by band in a fixed order, from a buffer of at most
+    max(2**16, R*T) products, and V diag(1/s) is applied one whole row of X
+    at a time: element-wise operations only, so solving the matrix problem
+    and solving pixel by pixel give bit-identical results. A reduction over
+    the bands would not: numpy sums rows of one entry pairwise.
+    """
+    Q, s, Vt = _svd(handle)
     L, R, T = handle.L, handle.R, handle.T
     bands = max(1, 2**16 // (R * T))
     buf = np.empty((min(bands, L), R, T))
-    # X starts as Q'Y and is overwritten row by row, last row first
-    X = np.zeros((R, T))
+    QtY = np.zeros((R, T))
     for a in range(0, L, bands):
         n = min(bands, L - a)
         np.multiply(Q[a : a + n, :, None], handle.Y[a : a + n, None, :], out=buf[:n])
         for k in range(n):
-            X += buf[k]
+            QtY += buf[k]
     del buf  # freed before AbundanceMatrix copies X
-    for i in reversed(range(R)):
-        for j in range(i + 1, R):
-            X[i] -= Rfac[i, j] * X[j]
-        X[i] /= Rfac[i, i]
+    W, X = Vt.T / s, np.zeros((R, T))
+    for i in range(R):
+        for k in range(R):
+            X[i] += W[i, k] * QtY[k]
     return AbundanceMatrix(X)
 
 
@@ -294,10 +292,7 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     that text, rho (z+ - z), grows with the square of the data units through
     rho. When a norm overflows while the iterates are finite, the relaxed
     x - z+ stays as large as the iterates and would never meet that
-    tolerance, so the rest of the solve runs at alpha = 1. After
-    _MAX_OVERFLOWS iterations with overflowing norms the solve raises
-    NonFiniteIterate: the iterates are then too large for their rounding to
-    meet the tolerance.
+    tolerance, so the rest of the solve runs at alpha = 1.
 
     The penalty starts at _PENALTY_SCALE * 2 s_min s_max and is balanced
     (Boyd et al. 2011, section 3.4.1): every _BALANCE_PERIOD-th iteration,
@@ -305,32 +300,26 @@ def _admm(handle: ProblemHandle, lam: float, sum_to_one: bool):
     residual's norm exceeds _BALANCE_RATIO times the dual's and halves in
     the opposite case, the scaled dual u is divided by the same factor and
     the x-update's terms and threshold are rebuilt. Both norms are in
-    abundance units and the factor is exactly 2, so rescaling Y and M by a
-    power of two (and lam by its square) still gives the same iterations and
-    bit-identical abundances. An iteration whose norms are not finite does
-    not balance.
+    abundance units and the factor is exactly 2, so the data units still
+    change nothing. An iteration whose norms are not finite does not balance.
 
-    On the same iterations, before balancing, the loop compares Z's support
-    (Z > 0) with the support at the previous such check, at the first with
-    the start's. When they are equal it polishes (_polish): it solves every
-    pixel's problem exactly on that support, with H = 2 M'M = V diag(2 s^2) V'
-    and 2 M'Y from the SVD, and returns the result as both X and Z when every
-    pixel meets the KKT conditions. A refused polish changes nothing, and the
-    loop goes on as before.
+    On the same iterations, before balancing, the loop polishes (_polish)
+    when Z's support (Z > 0) is the one of the previous such check (at the
+    first, the start's), with H = 2 M'M = V diag(2 s^2) V' and 2 M'Y from the
+    SVD, and returns an accepted result as both X and Z; a refused polish
+    changes nothing.
 
-    The set-up takes one thin SVD of M = Q diag(s) V' and raises
-    SingularNormalEquations when s_min <= 1e-13 s_max, solve_ls's threshold
-    on the diagonal of M's QR factor. Z starts at the clipped least-squares
-    abundances max(V diag(1/s) Q'Y, 0); the normal equations would give them
-    with cond(M)^2 in place of cond(M). Returns the last (X, Z) iterates, or
-    the polished solution twice, and whether the solve converged (residuals
-    below tolerance or polished) before the cap. Raises NonFiniteIterate
-    when an iterate has a non-finite entry.
+    The set-up reads the handle's SVD (_svd). Z starts at the clipped
+    least-squares abundances max(V diag(1/s) Q'Y, 0), Q'Y one matrix product
+    rather than solve_ls's band-ordered sum. Returns the last (X, Z)
+    iterates, or the polished solution twice, and whether the solve converged
+    (residuals below tolerance or polished) before the cap. Raises
+    NonFiniteIterate when an iterate has a non-finite entry, or after
+    _MAX_OVERFLOWS iterations with overflowing norms: the iterates are then
+    too large for their rounding to meet the tolerance.
     """
     R, T = handle.R, handle.T
-    Q, s, Vt = np.linalg.svd(handle.M, full_matrices=False)
-    if s[-1] <= 1e-13 * s[0]:
-        raise SingularNormalEquations("M'M is numerically singular")
+    Q, s, Vt = _svd(handle)
     V = Vt.T
     QtY = Q.T @ handle.Y
     MtY2, s2x2 = (V * (2.0 * s)) @ QtY, 2.0 * s * s

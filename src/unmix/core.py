@@ -7,8 +7,8 @@ an instance as that array (np.asarray(m) is m.data), so every function that
 takes a matrix reads it with np.asarray(x, dtype=float), or with the type's
 own constructor where that validates, and takes a raw array or any domain
 type alike. Frozen instances are safe to share across threads; the operations
-here are pure functions, and a ProblemHandle fits least squares once, when
-first asked.
+here are pure functions, and a ProblemHandle factors M (one thin SVD) and
+fits least squares once each, when first asked.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 # Feasibility slack used when tagging abundance matrices as constrained.
 TOL_FEAS = 1e-9
 
-# Condition-number estimate of M'M above which the endmember geometry is
-# considered degenerate.
+# Condition number of M'M, (s_max / s_min)^2 of M, above which the endmember
+# geometry is considered degenerate.
 COND_LIMIT = 1e12
 
 
@@ -298,10 +298,10 @@ class SolverReport:
 class ProblemHandle:
     """Validated, immutable bundle of one unmixing problem (Y, M, L, T, R).
 
-    It also holds the problem's one least-squares fit: least_squares and
-    ls_residual are computed the first time they are read and kept, so every
-    solve on the handle that reads them shares them. The baseline ADMM loop
-    does not: it starts from the least-squares solution of its own SVD of M.
+    It also holds the problem's one thin SVD of M and one least-squares fit:
+    svd, least_squares and ls_residual are computed the first time they are
+    read and kept, so every solve on the handle shares them. The baseline
+    ADMM loop reads svd and starts from its own product of the factors.
     """
 
     Y: np.ndarray
@@ -309,6 +309,14 @@ class ProblemHandle:
     L: int
     T: int
     R: int
+
+    @functools.cached_property
+    def svd(self) -> tuple:
+        """The thin SVD of M, (Q, s, V') from np.linalg.svd, read-only."""
+        factors = tuple(np.linalg.svd(self.M, full_matrices=False))
+        for a in factors:
+            a.setflags(write=False)
+        return factors
 
     @functools.cached_property
     def least_squares(self) -> np.ndarray:
@@ -388,8 +396,8 @@ def validate_problem(Y, M) -> ProblemHandle:
     """Check that (Y, M) form a well-posed problem and bundle them in a handle.
 
     Accepts ObservationMatrix/EndmemberMatrix or raw 2-D arrays. Warns with
-    RankDeficiencyWarning when the normal-equations condition estimate exceeds
-    COND_LIMIT (e.g. duplicated endmember columns).
+    RankDeficiencyWarning when cond(M'M) = (s_max / s_min)^2 of the handle's
+    SVD of M (inf at s_min = 0) exceeds COND_LIMIT (e.g. duplicated columns).
     """
     Ydata = ObservationMatrix(Y).data
     Mdata = EndmemberMatrix(M).data
@@ -397,14 +405,16 @@ def validate_problem(Y, M) -> ProblemHandle:
     LM, R = Mdata.shape
     if L != LM:
         raise DimensionMismatch(f"Y has {L} bands but M has {LM}")
-    cond = np.linalg.cond(Mdata.T @ Mdata)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    handle = ProblemHandle(Y=Ydata, M=Mdata, L=L, T=T, R=R)
+    s_max, s_min = handle.svd[1][[0, -1]].tolist()
+    cond = (s_max / s_min) * (s_max / s_min) if s_min > 0 else math.inf
+    if not cond <= COND_LIMIT:
         warnings.warn(
             f"endmember matrix is near rank deficient (normal-equations condition ~{cond:.2e})",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return ProblemHandle(Y=Ydata, M=Mdata, L=L, T=T, R=R)
+    return handle
 
 
 def linear_mix(M, X) -> np.ndarray:

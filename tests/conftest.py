@@ -25,6 +25,20 @@ def random_problem(rng, L, R, T, residual_scale=0.0):
     return validate_problem(Y, M), M, X, Y
 
 
+def count_factorizations(monkeypatch):
+    """Count the calls of np.linalg.svd, qr and cond from here on, by name."""
+    calls = {"svd": 0, "qr": 0, "cond": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

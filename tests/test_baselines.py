@@ -23,7 +23,7 @@ from unmix import (
     validate_problem,
 )
 
-from conftest import random_problem
+from conftest import count_factorizations, random_problem
 from oracles import (
     fcls_kkt_residual,
     nnls_enumeration,
@@ -71,13 +71,13 @@ class TestSolveLS:
             L = int(rng.integers(20, 200))
             M = rng.uniform(0.05, 1.0, size=(L, 1))
             Y = rng.standard_normal((L, 5)) * 10.0 ** rng.uniform(-3, 3, size=(L, 1))
-            Q, Rfac = np.linalg.qr(M, mode="reduced")
+            Q, s, Vt = np.linalg.svd(M, full_matrices=False)
             X_full = solve_ls(validate_problem(Y, M)).data
             for t in range(5):
                 sequential = 0.0
                 for l in range(L):
                     sequential += Q[l, 0] * Y[l, t]
-                assert X_full[0, t] == sequential / Rfac[0, 0]
+                assert X_full[0, t] == sequential * (Vt[0, 0] / s[0])
                 assert solve_ls(validate_problem(Y[:, [t]], M)).data[0, 0] == X_full[0, t]
 
     def test_matches_lstsq(self, rng):
@@ -253,13 +253,15 @@ def test_duplicated_endmember_raises(solve):
 
 
 @pytest.mark.parametrize(
-    "solve", [solve_fcls, lambda h: solve_sunsal_sparse(h, 0.0)], ids=["fcls", "sunsal-sparse"]
+    "solve",
+    [solve_ls, solve_fcls, lambda h: solve_sunsal_sparse(h, 0.0)],
+    ids=["ls", "fcls", "sunsal-sparse"],
 )
 @pytest.mark.parametrize("eps, solves", [(1e-12, True), (1e-13, False)], ids=["solves", "raises"])
-def test_near_collinear_endmembers_solve_or_raise_at_the_qr_threshold(solve, eps, solves):
+def test_near_collinear_endmembers_solve_or_raise_at_the_singular_value_threshold(solve, eps, solves):
     # the third column is the first plus eps d: s_min / s_max of M is about
     # 2.8e-13 at eps 1e-12 and 2.8e-14 at eps 1e-13, on either side of the
-    # 1e-13 that solve_ls applies to the diagonal of M's QR factor
+    # 1e-13 that every baseline applies to the singular values of M
     rng = np.random.default_rng(0)
     base, d = rng.uniform(size=(40, 2)), rng.uniform(size=40)
     M = np.column_stack([base, base[:, 0] + eps * d])
@@ -295,6 +297,51 @@ def test_baselines_fit_no_least_squares(monkeypatch, rng):
         solve(h)
         assert ls_calls == []
         assert "least_squares" not in h.__dict__
+
+
+def test_one_svd_of_m_per_problem(monkeypatch):
+    # the rank warning, least squares, both baselines and the tuned solver
+    # (its least-squares warm start and starting bandwidth) all read the
+    # handle's one SVD
+    from unmix import SolverConfig, cusal_fc
+
+    M = gen_endmembers(3, 60, seed=0).data
+    spec = SyntheticSpec(model="lmm", R=3, L=60, T=50, snr_db=30.0, n_corrupt=5, seed=1)
+    Y = gen_cube(M, spec)[0].data
+    calls = count_factorizations(monkeypatch)
+    h = validate_problem(Y, M)
+    solve_ls(h)
+    solve_fcls(h)
+    for lam in (0.0, 1e-4, 1e-2):
+        solve_sunsal_sparse(h, lam)
+    cusal_fc(h, SolverConfig(sigma_auto=True, max_outer_iters=30))
+    assert calls == {"svd": 1, "qr": 0, "cond": 0}
+
+
+def test_the_handle_factors_are_cached_and_read_only(rng):
+    h, M, X, Y = random_problem(rng, L=20, R=3, T=4)
+    Q, s, Vt = h.svd
+    assert h.svd is h.svd
+    np.testing.assert_allclose((Q * s) @ Vt, M, rtol=0, atol=1e-14)
+    for a in (Q, s, Vt):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "s_min, warns", [(1e-5, False), (1e-7, True), (0.0, True)], ids=["1e-5", "1e-7", "zero"]
+)
+def test_rank_warning_reads_the_singular_values(s_min, warns):
+    # cond(M'M) = (s_max / s_min)^2 against COND_LIMIT = 1e12, inf at s_min 0
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 2)))[0]
+    M = Q * [1.0, s_min]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate_problem(np.ones((10, 3)), M)
+    messages = [str(w.message) for w in caught if w.category is RankDeficiencyWarning]
+    assert len(messages) == warns
+    if s_min == 0.0:
+        assert messages[0].endswith("~inf)")
 
 
 def test_cusal_large_sigma_consistency_small(rng):

@@ -30,6 +30,8 @@ from unmix.experiment import (
 )
 from unmix.fileio import ParseError
 
+from conftest import count_factorizations
+
 
 CFG = """\
 model = lmm
@@ -335,6 +337,18 @@ class TestSparseGrid:
         rows = run_experiment(config, max_workers=1)
         assert [r.status for r in rows] == ["ok"] * 4 * 2
         assert calls == {"gen_cube": 2, "validate_problem": 2, "solve_ls": 2}
+
+    def test_a_cell_factors_m_once(self, monkeypatch):
+        # every algorithm and lambda of a cell reads its handle's one SVD
+        config = experiment.ExperimentConfig(
+            model="lmm", R=3, L=30, T=16, snr_db=25.0, corrupt_list=(0, 6),
+            algorithms=("ls", "fcls", "sunsal-sparse", "cusal-fc", "cusal-sp"), seeds=(1,),
+            metrics=("RMSE",), lambda_grid=(1e-4, 1e-3, 1e-2), max_outer_iters=20,
+        )
+        calls = count_factorizations(monkeypatch)
+        rows = run_experiment(config, max_workers=1)
+        assert [r.status for r in rows] == ["ok"] * 5 * 2
+        assert calls == {"svd": 2, "qr": 0, "cond": 0}
 
 
 class TestCliExperiment:

